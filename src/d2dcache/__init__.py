@@ -2,13 +2,11 @@
 
 from .popularity import PopularityModel, harmonic_sum, pmf, sample_request
 from .caching import (
-    CacheSet,
     CachingPolicy,
     SplitCachingPolicy,
     build_split_policy,
     closed_form_outage,
     optimize_policy,
-    place_caches,
 )
 from .geometry import (
     ClusterGrid,

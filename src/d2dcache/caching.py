@@ -58,22 +58,6 @@ class CachingPolicy:
 
 
 @dataclass(frozen=True)
-class CacheSet:
-    """Concrete cache contents of one user.
-
-    In split mode slot2 is non-empty and the two subsets are disjoint,
-    S/2 files each; otherwise slot1 holds all S files.
-    """
-
-    slot1: frozenset
-    slot2: frozenset = frozenset()
-
-    @property
-    def files(self) -> frozenset:
-        return self.slot1 | self.slot2
-
-
-@dataclass(frozen=True)
 class SplitCachingPolicy:
     """Two sub-policies of size S/2 each, used by the double time-slot scheme.
 
@@ -180,11 +164,6 @@ def place_caches_batch(policy: CachingPolicy, rng: np.random.Generator, n: int) 
     return _interval_partition(policy.probs, policy.cache_size, rng.random(n))
 
 
-def place_caches(policy: CachingPolicy, rng: np.random.Generator) -> CacheSet:
-    files = place_caches_batch(policy, rng, 1)[0]
-    return CacheSet(slot1=frozenset(int(f) for f in files))
-
-
 def build_split_policy(
     model: PopularityModel, S: int, gc1: float, gc2: float
 ) -> SplitCachingPolicy:
@@ -222,29 +201,3 @@ def place_split_caches_batch(
         "could not draw disjoint cache subspaces; the two sub-policies "
         "force overlapping saturated files"
     )
-
-
-def place_split_caches(split: SplitCachingPolicy, rng: np.random.Generator) -> CacheSet:
-    s1, s2 = place_split_caches_batch(split, rng, 1)
-    return CacheSet(
-        slot1=frozenset(int(f) for f in s1[0]),
-        slot2=frozenset(int(f) for f in s2[0]),
-    )
-
-
-def save_policy(policy: CachingPolicy, path) -> None:
-    """Write a policy as columnar text: header ``f,pc``, one row per file."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("f,pc\n")
-        for f, p in enumerate(policy.probs, start=1):
-            fh.write(f"{f},{p:.17g}\n")
-
-
-def load_policy(path) -> CachingPolicy:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "f,pc":
-            raise ValueError(f"unexpected policy file header {header!r}")
-        probs = [float(line.split(",")[1]) for line in fh if line.strip()]
-    arr = np.asarray(probs)
-    return CachingPolicy(arr, int(round(float(arr.sum()))))

@@ -21,7 +21,7 @@ from . import analysis, caching, schemes, validate
 from .config import config_to_dict, load_config
 from .phy import interference_upper_bound, sinr_floor
 from .popularity import PopularityModel
-from .runner import build_point_inputs, occupancy_target, run, write_artifact
+from .runner import occupancy_target, regime_key, run, write_artifact
 from .config import sweep_points
 
 
@@ -112,10 +112,7 @@ def cmd_analyze(args) -> int:
         else:
             policy = caching.optimize_policy(model, point.S, g_c)
             entry["outage_closed_form"] = caching.closed_form_outage(policy, model, g_c)
-        regime_key = "zipf_gt1" if point.regime == "zipf_gt1" else (
-            f"{point.scheme}_{'lt1' if point.regime == 'gamma_lt1' else 'gt1'}"
-        )
-        entry["predicted_exponent"] = analysis.predicted_exponent(regime_key, point.gamma)
+        entry["predicted_exponent"] = analysis.predicted_exponent(regime_key(point), point.gamma)
         rows.append(entry)
 
     os.makedirs(args.out, exist_ok=True)

@@ -6,8 +6,10 @@ per point from arithmetic expressions over the swept value (e.g. N: "50 * M").
 
 from __future__ import annotations
 
+import ast
+import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import yaml
 
@@ -30,6 +32,15 @@ DEFAULT_PHY = {
 }
 
 _INT_FIELDS = {"N", "M", "S", "n_realizations", "base_seed"}
+_FLOAT_FIELDS = {"gamma", "q", "rho_or_alpha1", "C_sec", "T_prime", "eps0"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.phy is None:
             object.__setattr__(self, "phy", PhyConfig(**DEFAULT_PHY))
+        for name in sorted(_INT_FIELDS):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in sorted(_FLOAT_FIELDS):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.check_bounds, bool):
+            raise ValueError(f"check_bounds must be true or false, got {self.check_bounds!r}")
+        if self.threads is not None and not (_is_int(self.threads) and self.threads >= 1):
+            raise ValueError(f"threads must be null or an integer >= 1, got {self.threads!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.regime not in REGIMES:
@@ -106,11 +127,45 @@ class ExperimentConfig:
         return replace(self, sweep=None, **overrides)
 
 
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Pow: operator.pow,
+    ast.Mod: operator.mod,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_MAX_EXPONENT = 64
+
+
+def _eval_node(node, env: dict):
+    if isinstance(node, ast.Constant) and _is_number(node.value):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in env:
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_eval_node(node.operand, env))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        left, right = _eval_node(node.left, env), _eval_node(node.right, env)
+        if isinstance(node.op, ast.Pow) and abs(right) > _MAX_EXPONENT:
+            raise ValueError(f"exponent {right} exceeds {_MAX_EXPONENT}")
+        return _BINARY_OPS[type(node.op)](left, right)
+    if isinstance(node, ast.Name):
+        raise ValueError(f"unknown name {node.id!r}; known: {sorted(env)}")
+    raise ValueError(f"{type(node).__name__} is not allowed")
+
+
 def _eval_coupling(expr: str, env: dict) -> float:
-    """Arithmetic over the swept variables, e.g. '50 * M' or 'M // 8 + 1'."""
+    """Arithmetic over the swept variables, e.g. '50 * M' or 'M // 8 + 1'.
+
+    Only numeric literals, the names in env, unary + and -, and the binary
+    operators + - * / // ** % are accepted.
+    """
     try:
-        return eval(expr, {"__builtins__": {}}, dict(env))  # config-local arithmetic
-    except Exception as exc:
+        return _eval_node(ast.parse(expr, mode="eval").body, env)
+    except (SyntaxError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValueError(f"cannot evaluate coupling expression {expr!r}: {exc}") from exc
 
 
@@ -177,6 +232,15 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     data = dict(raw)
     phy_raw = {**DEFAULT_PHY, **(data.pop("phy", {}) or {})}
+    unknown_phy = set(phy_raw) - {f.name for f in fields(PhyConfig)}
+    if unknown_phy:
+        raise ValueError(f"unknown phy keys: {sorted(unknown_phy)}")
+    for key, value in phy_raw.items():
+        if key == "sinr_ceiling" and value is None:
+            continue
+        if not (_is_int(value) if key == "K" else _is_number(value)):
+            kind = "an integer" if key == "K" else "a number"
+            raise ValueError(f"phy.{key} must be {kind}, got {value!r}")
     phy = PhyConfig(**phy_raw)
     sweep_raw = data.pop("sweep", None)
     sweep = None
@@ -186,6 +250,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             values=tuple(sweep_raw["values"]),
             couple=dict(sweep_raw.get("couple", {}) or {}),
         )
+        for name in (sweep.param, *sweep.couple):
+            if name not in _INT_FIELDS | _FLOAT_FIELDS:
+                raise ValueError(f"cannot sweep or couple {name!r}: not a numeric model parameter")
+        if not all(_is_number(v) for v in sweep.values):
+            raise ValueError(f"sweep.values must be numbers, got {list(sweep.values)!r}")
     threads = data.pop("threads", None)
     known = {
         "scheme", "regime", "N", "M", "S", "gamma", "q", "rho_or_alpha1",

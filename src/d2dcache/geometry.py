@@ -68,14 +68,6 @@ class ClusterGrid:
     def n_cells(self) -> int:
         return self.k * self.k
 
-    @property
-    def membership(self) -> dict[int, list[int]]:
-        """cell_id -> user indices (for inspection; sims use cell_id directly)."""
-        out: dict[int, list[int]] = {}
-        for u, c in enumerate(self.cell_id):
-            out.setdefault(int(c), []).append(u)
-        return out
-
 
 @dataclass(frozen=True)
 class PairingOutcome:
@@ -103,11 +95,6 @@ def place_users(N: int, rng: np.random.Generator) -> np.ndarray:
     if N < 1:
         raise ValueError(f"need at least one user, got N={N}")
     return rng.random((N, 2))
-
-
-def cell_of_point(x: float, y: float, k: int) -> tuple[int, int]:
-    """Cell coordinates of a point, boundary clamped into the grid."""
-    return min(int(x * k), k - 1), min(int(y * k), k - 1)
 
 
 def build_grid(k: int, positions: np.ndarray) -> ClusterGrid:
@@ -241,12 +228,3 @@ def build_realization(
         )
     caches = place_caches_batch(policy, rng, N)
     return NetworkRealization(positions=pos, requests=req, caches=caches, seed=seed)
-
-
-def dump_realization(realization: NetworkRealization, path) -> None:
-    """Line-oriented debug dump: user_index x y request cached_files..."""
-    with open(path, "w", encoding="ascii") as fh:
-        for u in range(realization.n_users):
-            x, y = realization.positions[u]
-            files = " ".join(str(int(f)) for f in realization.caches[u])
-            fh.write(f"{u} {x!r} {y!r} {int(realization.requests[u])} {files}\n")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phy import PhyConfig
-from .schemes import Schedule, SchemeResult
+from .phy import PhyConfig, path_gain
+from .schemes import SchemeResult
 
 
 @dataclass
@@ -105,7 +105,6 @@ class TransportRecord:
     distances: np.ndarray
     rates: np.ndarray
     C_gamma: float
-    bound_terms: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -133,8 +132,19 @@ def bound_constant(alpha: float) -> float:
     return alpha * (3.0 * math.sqrt(2.0) + 1.0) + 2.0 * (2.0 * (math.sqrt(2.0) + 1.0)) ** alpha
 
 
+def _concat(parts: list, dtype=np.float64) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """True at the first element of each run of equal keys."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
 def check_transport_bound(
-    schedule: Schedule,
+    result: SchemeResult,
     phy: PhyConfig,
     R0: float,
     eps0: float,
@@ -142,35 +152,44 @@ def check_transport_bound(
 ) -> BoundCheck:
     """Verify the transport-capacity upper bound on one realized schedule.
 
-    LHS is the schedule's realized transport capacity (cross-checked against
-    record.C_gamma when a record is supplied). RHS adds, per time-frequency
-    resource, the max-power pair's noise-only transport rate and the actual
-    transport of short (< R0) non-representative pairs, plus the closed-form
-    term B*log2(e)/eps0 * sqrt(SN/(rho' M)) * C(alpha) with
-    sqrt(SN/(rho' M)) expressed through R0 = eps0*sqrt(rho' M/(S N)).
+    The schedule is read off the per-slot link tables: each link holds its
+    slot's airtime and bandwidth, and the first link of each resource in a
+    slot is that resource's max-power representative. LHS is the realized
+    transport capacity (cross-checked against record.C_gamma when a record is
+    supplied). RHS adds, per time-frequency resource, the max-power pair's
+    noise-only transport rate and the actual transport of short (< R0)
+    non-representative pairs, plus the closed-form term
+    B*log2(e)/eps0 * sqrt(SN/(rho' M)) * C(alpha) with sqrt(SN/(rho' M))
+    expressed through R0 = eps0*sqrt(rho' M/(S N)).
     """
     if R0 <= 0 or eps0 <= 0:
         raise ValueError("R0 and eps0 must be positive")
-    w = schedule.res_tau * schedule.res_bw / (schedule.total_bandwidth * schedule.T_prime)
-    link_w = w[schedule.link_res] * schedule.total_bandwidth
+    B = phy.B
+    slots = result.slots
+    link_w = _concat(
+        [np.full(s.n_links, s.airtime * s.bandwidth / (B * result.T_prime)) * B for s in slots]
+    )
+    link_d = _concat([s.link_distance for s in slots])
+    link_se = np.log2(1.0 + phy.effective_sinr(_concat([s.link_sinr for s in slots])))
 
-    lhs = float(np.sum(link_w * schedule.link_distance * schedule.link_se))
+    lhs = float(np.sum(link_w * link_d * link_se))
     if record is not None and abs(record.C_gamma - lhs) > 1e-9 * max(1.0, abs(lhs)):
         raise ValueError(
             f"transport record C_gamma={record.C_gamma:.6g} disagrees with the "
             f"schedule's realized transport {lhs:.6g}"
         )
 
-    is_w = schedule.link_is_w
-    bw_of_link = schedule.res_bw[schedule.link_res]
-    se_alone = np.log2(1.0 + phy.Pmax * schedule.link_gain / (phy.N0 * bw_of_link))
-    cw_term = float(np.sum(link_w[is_w] * schedule.link_distance[is_w] * se_alone[is_w]))
+    # resource keys restart in every slot, so representatives are found per slot
+    is_w = _concat([_first_of_runs(s.link_res) for s in slots], bool)
+    bw_of_link = _concat([np.full(s.n_links, s.bandwidth) for s in slots])
+    se_alone = np.log2(1.0 + phy.Pmax * path_gain(link_d, phy) / (phy.N0 * bw_of_link))
+    cw_term = float(np.sum(link_w[is_w] * link_d[is_w] * se_alone[is_w]))
 
-    short = (~is_w) & (schedule.link_distance < R0)
-    cr0_term = float(np.sum(link_w[short] * schedule.link_distance[short] * schedule.link_se[short]))
+    short = (~is_w) & (link_d < R0)
+    cr0_term = float(np.sum(link_w[short] * link_d[short] * link_se[short]))
 
     # sqrt(SN/(rho'M)) = eps0 / R0
-    third = schedule.total_bandwidth * math.log2(math.e) / eps0 * (eps0 / R0) * bound_constant(phy.alpha)
+    third = B * math.log2(math.e) / eps0 * (eps0 / R0) * bound_constant(phy.alpha)
 
     rhs = cw_term + cr0_term + third
     return BoundCheck(

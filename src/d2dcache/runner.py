@@ -64,6 +64,13 @@ def occupancy_target(cfg: ExperimentConfig) -> float:
     return cfg.rho_or_alpha1 / cfg.S
 
 
+def regime_key(cfg: ExperimentConfig) -> str:
+    """The analysis.predicted_exponent key of a config's scheme and regime."""
+    if cfg.regime == "zipf_gt1":
+        return "zipf_gt1"
+    return f"{cfg.scheme}_{'lt1' if cfg.regime == 'gamma_lt1' else 'gt1'}"
+
+
 def build_point_inputs(cfg: ExperimentConfig):
     """Model, caching policy and scheme config for one sweep point."""
     model = PopularityModel(M=cfg.M, gamma=cfg.gamma, q=cfg.q)
@@ -95,22 +102,15 @@ def run_trial(cfg: ExperimentConfig, inputs, trial: int):
     seed = cfg.base_seed + trial
     realization = build_realization(model, policy, cfg.N, seed)
     if cfg.scheme == "scenario2":
-        result = schemes.run_scenario2(
-            realization, scheme_cfg, cfg.phy,
-            collect_schedule=cfg.check_bounds,
-        )
+        result = schemes.run_scenario2(realization, scheme_cfg, cfg.phy)
     else:
-        result = schemes.run_scenario1(
-            realization, scheme_cfg, cfg.phy,
-            collect_schedule=cfg.check_bounds,
-        )
+        result = schemes.run_scenario1(realization, scheme_cfg, cfg.phy)
     dist, rates = result.transport_links()
     c_gamma = metrics.transport_capacity(dist, rates).C_gamma
     slack = math.nan
-    if cfg.check_bounds and result.schedule is not None:
+    if cfg.check_bounds:
         r0 = cfg.eps0 * math.sqrt(occupancy_target(cfg) / cfg.N)
-        check = metrics.check_transport_bound(result.schedule, cfg.phy, r0, cfg.eps0)
-        slack = check.slack if check.holds else -abs(check.slack)
+        slack = metrics.check_transport_bound(result, cfg.phy, r0, cfg.eps0).slack
     return result, c_gamma, slack
 
 
@@ -167,11 +167,8 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
 
     fit = None
     exponent = None
-    regime_key = f"{cfg.scheme}_{'lt1' if cfg.regime == 'gamma_lt1' else 'gt1'}"
-    if cfg.regime == "zipf_gt1":
-        regime_key = "zipf_gt1"
     try:
-        exponent = analysis.predicted_exponent(regime_key, cfg.gamma)
+        exponent = analysis.predicted_exponent(regime_key(cfg), cfg.gamma)
     except ValueError:
         exponent = None
     good = [p for p in points if p.estimate is not None and p.estimate.T_min_avg > 0]

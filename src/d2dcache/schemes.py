@@ -64,7 +64,15 @@ class SchemeConfig:
 
 @dataclass
 class SlotResult:
-    """Delivery outcome of one time slot."""
+    """Delivery outcome of one time slot, with its link table.
+
+    The link_* arrays are parallel, one row per active link. link_res is the
+    time-frequency resource each link holds for airtime seconds on bandwidth
+    Hz: a TDMA activation, or a (round, color) pair of a clustered slot.
+    Links are grouped by link_res, and the first link of each resource is its
+    max-power representative (every link transmits at Pmax), which the
+    transport-capacity bound relies on. Resource keys restart in every slot.
+    """
 
     label: str
     bits: np.ndarray
@@ -73,6 +81,7 @@ class SlotResult:
     link_distance: np.ndarray
     link_rate: np.ndarray
     link_sinr: np.ndarray
+    link_res: np.ndarray
     airtime: float
     bandwidth: float
     cluster_side: float | None
@@ -106,27 +115,6 @@ class SlotResult:
 
 
 @dataclass
-class Schedule:
-    """Per-resource activation record for transport-capacity accounting.
-
-    A resource is either one TDMA activation (full band) or one
-    (round, color) combination of the clustered slots. link_se is the
-    realized spectral efficiency log2(1+SINR); link_is_w marks the
-    deterministic max-power representative of each resource.
-    """
-
-    res_tau: np.ndarray
-    res_bw: np.ndarray
-    link_res: np.ndarray
-    link_distance: np.ndarray
-    link_se: np.ndarray
-    link_gain: np.ndarray
-    link_is_w: np.ndarray
-    total_bandwidth: float
-    T_prime: float
-
-
-@dataclass
 class SchemeResult:
     """Epoch outcome for every user plus per-slot breakdowns."""
 
@@ -135,7 +123,6 @@ class SchemeResult:
     slots: list[SlotResult]
     realized_cluster_sides: tuple[float, ...]
     T_prime: float
-    schedule: Schedule | None = None
 
     @property
     def n_users(self) -> int:
@@ -245,8 +232,7 @@ def _clustered_bits(
     phy: PhyConfig,
     duration: float,
     label: str,
-    collect_schedule: bool = False,
-):
+) -> SlotResult:
     """Round-robin reuse-colored delivery of the paired links.
 
     Every cluster activates its next pair each round; all active pairs hold
@@ -259,11 +245,10 @@ def _clustered_bits(
     bw = phy.subchannel_bandwidth
     L = pairing.n_links
     if L == 0:
-        slot = SlotResult(
+        return SlotResult(
             label, bits, served, pairing.rx, pairing.distance,
-            np.empty(0), np.empty(0), 0.0, bw, grid.side,
+            np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), 0.0, bw, grid.side,
         )
-        return slot, None
 
     # round index = rank of the link inside its cluster, deterministic rx order
     order = np.lexsort((pairing.rx, pairing.cell))
@@ -301,7 +286,7 @@ def _clustered_bits(
     rate = bw * np.log2(1.0 + phy.effective_sinr(sinr))
     np.add.at(bits, rx_g, rate * airtime)
 
-    slot = SlotResult(
+    return SlotResult(
         label=label,
         bits=bits,
         served=served,
@@ -309,26 +294,12 @@ def _clustered_bits(
         link_distance=pairing.distance[link_idx],
         link_rate=rate,
         link_sinr=sinr,
+        link_res=g_key,
         airtime=airtime,
         bandwidth=bw,
         cluster_side=grid.side,
         link_interference=interference,
     )
-    schedule = None
-    if collect_schedule:
-        n_res = len(g_sizes)
-        is_w = np.zeros(L, dtype=bool)
-        is_w[g_bound] = True  # all powers equal; first of group is the representative
-        schedule = dict(
-            res_tau=np.full(n_res, airtime),
-            res_bw=np.full(n_res, bw),
-            link_res=np.repeat(np.arange(n_res), g_sizes),
-            link_distance=pairing.distance[link_idx],
-            link_se=np.log2(1.0 + phy.effective_sinr(sinr)),
-            link_gain=gain,
-            link_is_w=is_w,
-        )
-    return slot, schedule
 
 
 def _tdma_bits(
@@ -336,8 +307,7 @@ def _tdma_bits(
     pairing: PairingOutcome,
     phy: PhyConfig,
     T_prime: float,
-    collect_schedule: bool = False,
-):
+) -> SlotResult:
     """Slot A: every served pair alone in the full band for T'/(2N) seconds."""
     n = realization.n_users
     bits = np.zeros(n)
@@ -346,7 +316,7 @@ def _tdma_bits(
     snr = phy.Pmax * gain / (phy.B * phy.N0)
     rate = phy.B * np.log2(1.0 + phy.effective_sinr(snr))
     bits[pairing.rx] = rate * airtime
-    slot = SlotResult(
+    return SlotResult(
         label="tdma",
         bits=bits,
         served=~pairing.outage_flags,
@@ -354,48 +324,10 @@ def _tdma_bits(
         link_distance=pairing.distance,
         link_rate=rate,
         link_sinr=snr,
+        link_res=np.arange(pairing.n_links),
         airtime=airtime,
         bandwidth=phy.B,
         cluster_side=None,
-    )
-    schedule = None
-    if collect_schedule:
-        L = pairing.n_links
-        schedule = dict(
-            res_tau=np.full(L, airtime),
-            res_bw=np.full(L, phy.B),
-            link_res=np.arange(L),
-            link_distance=pairing.distance,
-            link_se=np.log2(1.0 + phy.effective_sinr(snr)),
-            link_gain=gain,
-            link_is_w=np.ones(L, dtype=bool),
-        )
-    return slot, schedule
-
-
-def _merge_schedules(parts: list[dict], phy: PhyConfig, T_prime: float) -> Schedule:
-    off = 0
-    res_tau, res_bw = [], []
-    link_res, link_d, link_se, link_g, link_w = [], [], [], [], []
-    for p in parts:
-        res_tau.append(p["res_tau"])
-        res_bw.append(p["res_bw"])
-        link_res.append(p["link_res"] + off)
-        link_d.append(p["link_distance"])
-        link_se.append(p["link_se"])
-        link_g.append(p["link_gain"])
-        link_w.append(p["link_is_w"])
-        off += len(p["res_tau"])
-    return Schedule(
-        res_tau=np.concatenate(res_tau),
-        res_bw=np.concatenate(res_bw),
-        link_res=np.concatenate(link_res),
-        link_distance=np.concatenate(link_d),
-        link_se=np.concatenate(link_se),
-        link_gain=np.concatenate(link_g),
-        link_is_w=np.concatenate(link_w),
-        total_bandwidth=phy.B,
-        T_prime=T_prime,
     )
 
 
@@ -403,7 +335,6 @@ def run_scenario1(
     realization: NetworkRealization,
     cfg: SchemeConfig,
     phy: PhyConfig,
-    collect_schedule: bool = False,
 ) -> SchemeResult:
     """TDMA half plus clustered half over a single unsplit cache."""
     n = realization.n_users
@@ -412,21 +343,14 @@ def run_scenario1(
     grid = build_grid(k, realization.positions)
     pairing = pair_within_clusters(realization, grid)
 
-    slot_a, sched_a = _tdma_bits(realization, pairing, phy, cfg.T_prime, collect_schedule)
-    slot_b, sched_b = _clustered_bits(
-        realization, pairing, grid, phy, cfg.T_prime / 2.0, "cluster", collect_schedule
-    )
-    schedule = None
-    if collect_schedule:
-        parts = [s for s in (sched_a, sched_b) if s is not None]
-        schedule = _merge_schedules(parts, phy, cfg.T_prime)
+    slot_a = _tdma_bits(realization, pairing, phy, cfg.T_prime)
+    slot_b = _clustered_bits(realization, pairing, grid, phy, cfg.T_prime / 2.0, "cluster")
     return SchemeResult(
         per_user_bits=slot_a.bits + slot_b.bits,
         per_user_served=~pairing.outage_flags,
         slots=[slot_a, slot_b],
         realized_cluster_sides=(grid.side,),
         T_prime=cfg.T_prime,
-        schedule=schedule,
     )
 
 
@@ -434,7 +358,6 @@ def run_scenario2(
     realization: NetworkRealization,
     cfg: SchemeConfig,
     phy: PhyConfig,
-    collect_schedule: bool = False,
 ) -> SchemeResult:
     """Double time-slot delivery over a split cache.
 
@@ -455,16 +378,8 @@ def run_scenario2(
     pairing2 = pair_within_clusters(realization, grid2, realization.caches_slot2)
 
     half = cfg.T_prime / 2.0
-    slot1, sched1 = _clustered_bits(
-        realization, pairing1, grid1, phy, half, "cluster1", collect_schedule
-    )
-    slot2, sched2 = _clustered_bits(
-        realization, pairing2, grid2, phy, half, "cluster2", collect_schedule
-    )
-    schedule = None
-    if collect_schedule:
-        parts = [s for s in (sched1, sched2) if s is not None]
-        schedule = _merge_schedules(parts, phy, cfg.T_prime)
+    slot1 = _clustered_bits(realization, pairing1, grid1, phy, half, "cluster1")
+    slot2 = _clustered_bits(realization, pairing2, grid2, phy, half, "cluster2")
     served = slot1.served | slot2.served
     return SchemeResult(
         per_user_bits=slot1.bits + slot2.bits,
@@ -472,5 +387,4 @@ def run_scenario2(
         slots=[slot1, slot2],
         realized_cluster_sides=(grid1.side, grid2.side),
         T_prime=cfg.T_prime,
-        schedule=schedule,
     )

@@ -30,7 +30,7 @@ class SuiteReport:
     seed: int | None = None
 
 
-def _mini_scenario1(n_real: int, collect_schedule: bool = False, seed: int = _SEED):
+def _mini_scenario1(n_real: int, seed: int = _SEED):
     """Small clustered network shared by several suites."""
     phy = PhyConfig(**DEFAULT_PHY)
     model = PopularityModel(M=100, gamma=0.6, q=10.0)
@@ -43,7 +43,7 @@ def _mini_scenario1(n_real: int, collect_schedule: bool = False, seed: int = _SE
     results = []
     for t in range(n_real):
         realization = build_realization(model, policy, N, seed + t)
-        results.append(schemes.run_scenario1(realization, cfg, phy, collect_schedule))
+        results.append(schemes.run_scenario1(realization, cfg, phy))
     return phy, model, policy, g_c, cfg, results
 
 
@@ -78,12 +78,12 @@ def suite_sinr_floor(n_real: int = 20) -> SuiteReport:
 
 
 def suite_transport_bound(n_real: int = 20) -> SuiteReport:
-    phy, model, _, g_c, cfg, results = _mini_scenario1(n_real, collect_schedule=True)
+    phy, model, _, g_c, cfg, results = _mini_scenario1(n_real)
     n_viol = 0
     min_slack = math.inf
     for res in results:
         r0 = 0.1 * math.sqrt(g_c / 5000)
-        check = metrics.check_transport_bound(res.schedule, phy, r0, 0.1)
+        check = metrics.check_transport_bound(res, phy, r0, 0.1)
         min_slack = min(min_slack, check.slack)
         n_viol += not check.holds
     return SuiteReport(

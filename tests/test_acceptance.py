@@ -61,13 +61,13 @@ def family():
     def one(t):
         want_schedule = t < N_CRIT6
         realization = build_realization(model, policy, N, 42 + t)
-        res = run_scenario1(realization, cfg, PHY, collect_schedule=want_schedule)
+        res = run_scenario1(realization, cfg, PHY)
         slot = res.slot("cluster")
         floor = sinr_floor(slot.cluster_side, PHY, PHY.Pmax, PHY.Pmax)
         bound = interference_upper_bound(slot.cluster_side, PHY, PHY.Pmax)
         slack = math.nan
         if want_schedule:
-            check = check_transport_bound(res.schedule, PHY, r0, 0.1)
+            check = check_transport_bound(res, PHY, r0, 0.1)
             slack = check.slack if check.holds else -1.0
         return res, slot.min_sinr / floor, slot.max_interference / bound, slack
 

@@ -55,6 +55,21 @@ def test_config_validation_errors():
     del missing["M"]
     with pytest.raises(ValueError):
         config_from_dict(missing)
+    bad_types = [
+        ("check_bounds", "no"),
+        ("threads", "2"),
+        ("threads", 0),
+        ("n_realizations", 2.5),
+        ("N", "1e4"),  # YAML reads 1e4 as a string
+        ("N", True),
+        ("gamma", "0.6"),
+    ]
+    for key, value in bad_types:
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({**BASE, key: value})
+    with pytest.raises(ValueError, match="phy.alpha"):
+        config_from_dict({**BASE, "phy": {"alpha": "4"}})
+    assert config_from_dict({**BASE, "gamma": 0, "threads": 2, "check_bounds": True}).threads == 2
 
 
 def test_config_regime_warning():
@@ -70,6 +85,19 @@ def test_sweep_point_coupling():
     assert [p.M for p in pts] == [50, 100]
     assert [p.N for p in pts] == [2000, 4000]
     assert all(p.sweep is None for p in pts)
+    mixed = {"param": "M", "values": [50], "couple": {"N": "-(M // 8 - 2 ** 3) * 400 % 7000 + M / 2"}}
+    assert sweep_points(config_from_dict({**BASE, "sweep": mixed}))[0].N == 825  # 800 + 25
+    for expr in (
+        "().__class__.__mro__[1].__subclasses__().__len__()",
+        "__import__('os').getpid()",
+        "len('ab') * M",
+        "M if M else N",
+        "x * M",
+        "10 ** 10 ** 10",
+    ):
+        bad = {"param": "M", "values": [50], "couple": {"N": expr}}
+        with pytest.raises(ValueError, match="coupling expression"):
+            sweep_points(config_from_dict({**BASE, "sweep": bad}))
 
 
 def test_run_single_point_artifact(tmp_path):

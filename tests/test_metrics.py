@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from d2dcache.caching import optimize_policy
+from d2dcache.caching import build_split_policy, optimize_policy
 from d2dcache.config import DEFAULT_PHY
 from d2dcache.geometry import build_realization
 from d2dcache.metrics import (
@@ -14,7 +14,14 @@ from d2dcache.metrics import (
 )
 from d2dcache.phy import PhyConfig, path_gain
 from d2dcache.popularity import PopularityModel
-from d2dcache.schemes import Schedule, SchemeConfig, SlotResult, SchemeResult, run_scenario1
+from d2dcache.schemes import (
+    SchemeConfig,
+    SchemeResult,
+    SlotResult,
+    derive_epsilon,
+    run_scenario1,
+    run_scenario2,
+)
 
 PHY = PhyConfig(**DEFAULT_PHY)
 
@@ -87,17 +94,8 @@ def test_transport_capacity_values():
         transport_capacity([-0.1], [1.0])
 
 
-def _empty_schedule():
-    e = np.empty(0)
-    return Schedule(
-        res_tau=e, res_bw=e, link_res=np.empty(0, dtype=np.int64),
-        link_distance=e, link_se=e, link_gain=e,
-        link_is_w=np.empty(0, dtype=bool), total_bandwidth=1.0, T_prime=1.0,
-    )
-
-
 def test_bound_trivial_empty_schedule():
-    check = check_transport_bound(_empty_schedule(), PHY, R0=0.02, eps0=0.1)
+    check = check_transport_bound(_synthetic_result([], []), PHY, R0=0.02, eps0=0.1)
     assert check.holds
     assert check.lhs == 0.0
     assert check.slack == pytest.approx(check.terms["third"])
@@ -106,40 +104,50 @@ def test_bound_trivial_empty_schedule():
 def test_bound_single_full_band_link():
     # one max-power pair alone in the band: LHS sits entirely in the C_W term
     r, gain = 0.05, path_gain(0.05, PHY)
-    se = math.log2(1.0 + PHY.Pmax * gain / (PHY.N0 * PHY.B))
-    sched = Schedule(
-        res_tau=np.array([1.0]),
-        res_bw=np.array([PHY.B]),
-        link_res=np.array([0]),
+    snr = PHY.Pmax * gain / (PHY.N0 * PHY.B)
+    slot = SlotResult(
+        label="tdma",
+        bits=np.zeros(1),
+        served=np.ones(1, dtype=bool),
+        link_rx=np.array([0]),
         link_distance=np.array([r]),
-        link_se=np.array([se]),
-        link_gain=np.array([gain]),
-        link_is_w=np.array([True]),
-        total_bandwidth=PHY.B,
-        T_prime=1.0,
+        link_rate=np.array([PHY.B * math.log2(1.0 + snr)]),
+        link_sinr=np.array([snr]),
+        link_res=np.array([0]),
+        airtime=1.0,
+        bandwidth=PHY.B,
+        cluster_side=None,
     )
-    check = check_transport_bound(sched, PHY, R0=0.02, eps0=0.1)
+    res = SchemeResult(np.zeros(1), np.ones(1, dtype=bool), [slot], (), T_prime=1.0)
+    check = check_transport_bound(res, PHY, R0=0.02, eps0=0.1)
     assert check.holds
     assert check.lhs == pytest.approx(check.terms["C_W"], rel=1e-12)
     assert check.slack == pytest.approx(check.terms["third"], rel=1e-12)
 
 
-def test_bound_holds_on_simulated_schedules():
+@pytest.mark.parametrize("scheme", ["scenario1", "scenario2"])
+def test_bound_holds_on_simulated_schedules(scheme):
     m = PopularityModel(M=100, gamma=0.6, q=10.0)
     S, N, rho = 2, 5000, 4.0
-    policy = optimize_policy(m, S, rho * m.M / S)
+    g_c = rho * m.M / S
     cfg = SchemeConfig(regime="gamma_lt1", model=m, S=S, rho_or_alpha1=rho)
+    if scheme == "scenario2":
+        eps = derive_epsilon(cfg, N)
+        policy = build_split_policy(m, S, 2.0 * g_c, 2.0 * eps * g_c)
+        run_scheme = run_scenario2
+    else:
+        policy = optimize_policy(m, S, g_c)
+        run_scheme = run_scenario1
     r0 = 0.1 * math.sqrt(rho * m.M / (S * N))
     for seed in range(20):
-        res = run_scenario1(
-            build_realization(m, policy, N, 7100 + seed), cfg, PHY, collect_schedule=True
-        )
+        res = run_scheme(build_realization(m, policy, N, 7100 + seed), cfg, PHY)
+        assert len(res.slots) == 2 and all(s.n_links for s in res.slots)
         record = transport_capacity(*res.transport_links())
-        check = check_transport_bound(res.schedule, PHY, r0, 0.1, record=record)
+        check = check_transport_bound(res, PHY, r0, 0.1, record=record)
         assert check.holds, f"seed {seed}: lhs={check.lhs} rhs={check.rhs}"
         assert check.lhs == pytest.approx(record.C_gamma, rel=1e-9)
 
 
 def test_bound_argument_validation():
     with pytest.raises(ValueError):
-        check_transport_bound(_empty_schedule(), PHY, R0=0.0, eps0=0.1)
+        check_transport_bound(_synthetic_result([], []), PHY, R0=0.0, eps0=0.1)
