@@ -17,12 +17,10 @@ import os
 import sys
 import time
 
-from . import analysis, caching, schemes, validate
-from .config import config_to_dict, load_config
+from . import analysis, schemes, validate
+from .config import config_to_dict, load_config, sweep_points
 from .phy import interference_upper_bound, sinr_floor
-from .popularity import PopularityModel
-from .runner import occupancy_target, regime_key, run, write_artifact
-from .config import sweep_points
+from .runner import build_point_inputs, occupancy_target, regime_key, run, write_artifact
 
 
 def _add_common(p: argparse.ArgumentParser, needs_config: bool = True):
@@ -81,7 +79,7 @@ def cmd_analyze(args) -> int:
     cfg = _load(args)
     rows = []
     for point in sweep_points(cfg):
-        model = PopularityModel(M=point.M, gamma=point.gamma, q=point.q)
+        model, policy, _, eps, closed_form = build_point_inputs(point)
         g_c = occupancy_target(point)
         d = schemes.cluster_side(point.regime, model, point.S, point.N, point.rho_or_alpha1)
         entry = {
@@ -93,25 +91,14 @@ def cmd_analyze(args) -> int:
             "interference_bound": interference_upper_bound(d, point.phy, point.phy.Pmax),
         }
         if point.scheme == "scenario2":
-            scheme_cfg = schemes.SchemeConfig(
-                regime=point.regime, model=model, S=point.S,
-                rho_or_alpha1=point.rho_or_alpha1, C_sec=point.C_sec,
-            )
-            eps = schemes.derive_epsilon(scheme_cfg, point.N)
-            gc2 = 2.0 * eps * g_c
             entry["epsilon"] = eps
             entry["slot2_cluster_side"] = math.sqrt(eps) * d
-            if point.regime == "gamma_lt1":
-                entry["slot2_outage_closed_form"] = analysis.po_sec_gamma_lt1(
-                    gc2, model, point.S // 2
-                )
-            elif point.regime == "gamma_gt1":
-                entry["slot2_outage_closed_form"] = analysis.po_sec_gamma_gt1(
-                    gc2, model, point.S // 2
-                )
+            slot2_outage = (
+                analysis.po_sec_gamma_lt1 if point.regime == "gamma_lt1" else analysis.po_sec_gamma_gt1
+            )
+            entry["slot2_outage_closed_form"] = slot2_outage(policy.gc2, model, point.S // 2)
         else:
-            policy = caching.optimize_policy(model, point.S, g_c)
-            entry["outage_closed_form"] = caching.closed_form_outage(policy, model, g_c)
+            entry["outage_closed_form"] = closed_form
         entry["predicted_exponent"] = analysis.predicted_exponent(regime_key(point), point.gamma)
         rows.append(entry)
 

@@ -80,7 +80,6 @@ def build_point_inputs(cfg: ExperimentConfig):
         S=cfg.S,
         rho_or_alpha1=cfg.rho_or_alpha1,
         C_sec=cfg.C_sec,
-        K=cfg.phy.K,
         T_prime=cfg.T_prime,
     )
     # fail fast on an infeasible cluster side so the point is skipped cleanly
@@ -114,7 +113,14 @@ def run_trial(cfg: ExperimentConfig, inputs, trial: int):
     return result, c_gamma, slack
 
 
-def run_point(cfg: ExperimentConfig, threads: int) -> PointResult:
+def run_trials(cfg: ExperimentConfig, inputs):
+    """run_trial for trials 0 .. n_realizations - 1 on cfg.threads workers
+    (default: all cores), yielded in trial order."""
+    with ThreadPoolExecutor(max_workers=cfg.threads or os.cpu_count() or 1) as pool:
+        yield from pool.map(lambda t: run_trial(cfg, inputs, t), range(cfg.n_realizations))
+
+
+def run_point(cfg: ExperimentConfig) -> PointResult:
     params = {
         "N": cfg.N, "M": cfg.M, "S": cfg.S, "gamma": cfg.gamma, "q": cfg.q,
         "rho_or_alpha1": cfg.rho_or_alpha1,
@@ -131,14 +137,11 @@ def run_point(cfg: ExperimentConfig, threads: int) -> PointResult:
     c_gammas: list[float] = []
     slacks: list[float] = []
     sides: tuple = ()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for result, c_gamma, slack in pool.map(
-            lambda t: run_trial(cfg, inputs, t), range(cfg.n_realizations)
-        ):
-            acc.add(result)
-            c_gammas.append(c_gamma)
-            slacks.append(slack)
-            sides = result.realized_cluster_sides
+    for result, c_gamma, slack in run_trials(cfg, inputs):
+        acc.add(result)
+        c_gammas.append(c_gamma)
+        slacks.append(slack)
+        sides = result.realized_cluster_sides
     est = acc.finish()
     slack_min = math.nan
     if cfg.check_bounds:
@@ -154,16 +157,16 @@ def run_point(cfg: ExperimentConfig, threads: int) -> PointResult:
     )
 
 
-def driving_ratio(cfg: ExperimentConfig, params: dict) -> float:
-    if cfg.regime == "gamma_lt1":
-        return params["S"] / params["M"]
-    return params["S"] / params["q"]
+def driving_ratio(regime: str, params: dict) -> tuple[str, float]:
+    """The sweep's fit axis: its label and its value at a point."""
+    if regime == "gamma_gt1":
+        return "S/q", params["S"] / params["q"]
+    return "S/M", params["S"] / params["M"]
 
 
 def run(cfg: ExperimentConfig) -> ResultArtifact:
     """Run every sweep point and fit the throughput scaling when possible."""
-    threads = cfg.threads or os.cpu_count() or 1
-    points = [run_point(p, threads) for p in sweep_points(cfg)]
+    points = [run_point(p) for p in sweep_points(cfg)]
 
     fit = None
     exponent = None
@@ -171,14 +174,14 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
         exponent = analysis.predicted_exponent(regime_key(cfg), cfg.gamma)
     except ValueError:
         exponent = None
-    good = [p for p in points if p.estimate is not None and p.estimate.T_min_avg > 0]
+    good = [p for p in points if p.estimate is not None and p.estimate.mean_throughput > 0]
     if cfg.sweep is not None and len(good) >= 2:
-        x = [driving_ratio(cfg, p.params) for p in good]
-        y = [p.estimate.T_min_avg for p in good]
+        axis = [driving_ratio(cfg.regime, p.params) for p in good]
+        y = [p.estimate.mean_throughput for p in good]
         try:
-            f = analysis.fit_loglog(x, y)
+            f = analysis.fit_loglog([x for _, x in axis], y)
             fit = {
-                "x": "S/M" if cfg.regime == "gamma_lt1" else "S/q",
+                "x": axis[0][0],
                 "slope": f.slope,
                 "intercept": f.intercept,
                 "r_squared": f.r_squared,

@@ -46,7 +46,6 @@ class SchemeConfig:
     rho_or_alpha1: float
     epsilon: float | None = None  # slot-2 shrink factor, scenario 2 only
     C_sec: float = 4.0
-    K: int = 1
     T_prime: float = 1.0
 
     def __post_init__(self):

@@ -8,17 +8,22 @@ gates, not the full acceptance runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis, caching, metrics, schemes
-from .config import DEFAULT_PHY
-from .geometry import build_realization
+from . import analysis, caching, runner
+from .config import DEFAULT_PHY, ExperimentConfig
 from .phy import PhyConfig, sinr_floor
 from .popularity import PopularityModel
 
 _SEED = 20240811
+
+# small clustered network shared by the Monte Carlo suites
+_MINI = ExperimentConfig(
+    scheme="scenario1", regime="gamma_lt1", N=5000, M=100, S=2, gamma=0.6,
+    q=10.0, rho_or_alpha1=4.0, n_realizations=1, base_seed=_SEED,
+)
 
 
 @dataclass
@@ -30,21 +35,11 @@ class SuiteReport:
     seed: int | None = None
 
 
-def _mini_scenario1(n_real: int, seed: int = _SEED):
-    """Small clustered network shared by several suites."""
-    phy = PhyConfig(**DEFAULT_PHY)
-    model = PopularityModel(M=100, gamma=0.6, q=10.0)
-    S, N, rho = 2, 5000, 4.0
-    g_c = rho * model.M / S
-    policy = caching.optimize_policy(model, S, g_c)
-    cfg = schemes.SchemeConfig(
-        regime="gamma_lt1", model=model, S=S, rho_or_alpha1=rho,
-    )
-    results = []
-    for t in range(n_real):
-        realization = build_realization(model, policy, N, seed + t)
-        results.append(schemes.run_scenario1(realization, cfg, phy))
-    return phy, model, policy, g_c, cfg, results
+def _mini_trials(n_real: int, check_bounds: bool = False):
+    """The point inputs and the in-order runner trials of the mini network."""
+    cfg = replace(_MINI, n_realizations=n_real, check_bounds=check_bounds)
+    inputs = runner.build_point_inputs(cfg)
+    return inputs, runner.run_trials(cfg, inputs)
 
 
 def suite_log_inequality(n: int = 100_000) -> SuiteReport:
@@ -57,10 +52,11 @@ def suite_log_inequality(n: int = 100_000) -> SuiteReport:
 
 
 def suite_sinr_floor(n_real: int = 20) -> SuiteReport:
-    phy, _, _, _, _, results = _mini_scenario1(n_real)
+    phy = _MINI.phy
+    _, trials = _mini_trials(n_real)
     floor_checked = 0
     worst = math.inf
-    for res in results:
+    for res, _, _ in trials:
         slot = res.slot("cluster")
         floor = sinr_floor(slot.cluster_side, phy, phy.Pmax, phy.Pmax)
         if slot.n_links:
@@ -78,24 +74,19 @@ def suite_sinr_floor(n_real: int = 20) -> SuiteReport:
 
 
 def suite_transport_bound(n_real: int = 20) -> SuiteReport:
-    phy, model, _, g_c, cfg, results = _mini_scenario1(n_real)
-    n_viol = 0
-    min_slack = math.inf
-    for res in results:
-        r0 = 0.1 * math.sqrt(g_c / 5000)
-        check = metrics.check_transport_bound(res, phy, r0, 0.1)
-        min_slack = min(min_slack, check.slack)
-        n_viol += not check.holds
+    _, trials = _mini_trials(n_real, check_bounds=True)
+    slacks = [slack for _, _, slack in trials]
+    n_viol = sum(slack < 0.0 for slack in slacks)  # the bound holds iff slack >= 0
     return SuiteReport(
         "transport_capacity_bound", n_viol == 0,
-        f"{n_viol} violations, min slack {min_slack:.4g}", n_real, _SEED,
+        f"{n_viol} violations, min slack {min(slacks):.4g}", n_real, _SEED,
     )
 
 
 def suite_outage_closed_form(n_real: int = 60) -> SuiteReport:
-    phy, model, policy, g_c, cfg, results = _mini_scenario1(n_real)
-    fracs = np.array([r.outage_fraction for r in results])
-    target = caching.closed_form_outage(policy, model, g_c)
+    inputs, trials = _mini_trials(n_real)
+    fracs = np.array([res.outage_fraction for res, _, _ in trials])
+    target = inputs[4]
     se = float(fracs.std(ddof=1) / math.sqrt(len(fracs)))
     gap = abs(float(fracs.mean()) - target)
     ok = gap <= 3.0 * se

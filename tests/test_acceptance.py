@@ -1,33 +1,28 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-The heavy network family (N=20000, M=400, S=2, gamma=0.6, q=20, rho=4, K=1)
-is simulated once per session and shared by the outage, SINR-floor,
-transport-bound and fairness criteria.
+Every network simulation runs through the runner on a shipped config. The
+heavy network family of scripts/configs/outage_match.yaml (N=20000, M=400,
+S=2, gamma=0.6, q=20, rho=4, K=1) is simulated once per session and shared
+by the outage, SINR-floor, transport-bound and fairness criteria; the
+exponent criteria run the scaling sweeps of scripts/configs/scaling_*.yaml.
 """
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from d2dcache.analysis import (
-    RESIDUAL_TOL,
-    fit_loglog,
-    po_sec_gamma_lt1,
-    predicted_exponent,
-    solve_c1_c2,
-)
-from d2dcache.caching import build_split_policy, closed_form_outage, optimize_policy
-from d2dcache.config import DEFAULT_PHY, config_from_dict
-from d2dcache.geometry import build_realization
-from d2dcache.metrics import ThroughputAccumulator, check_transport_bound
+from d2dcache.analysis import RESIDUAL_TOL, fit_loglog, po_sec_gamma_lt1, solve_c1_c2
+from d2dcache.caching import optimize_policy
+from d2dcache.config import DEFAULT_PHY, config_from_dict, load_config
+from d2dcache.metrics import ThroughputAccumulator
 from d2dcache.phy import PhyConfig, interference_upper_bound, sinr_floor
 from d2dcache.popularity import PopularityModel, sample_request
-from d2dcache.runner import run, write_artifact
-from d2dcache.schemes import SchemeConfig, derive_epsilon, run_scenario1, run_scenario2
+from d2dcache.runner import build_point_inputs, run, run_trials, write_artifact
 
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 PHY = PhyConfig(**DEFAULT_PHY)
 WORKERS = 2
 
@@ -35,6 +30,10 @@ WORKERS = 2
 def _report(criterion: int, passed: bool, detail: str):
     print(f"\nACCEPTANCE {criterion} [{'PASS' if passed else 'FAIL'}] {detail}")
     assert passed, f"criterion {criterion}: {detail}"
+
+
+def _config(name: str, **overrides):
+    return dataclasses.replace(load_config(CONFIGS / name), threads=WORKERS, **overrides)
 
 
 # ----------------------------------------------------------------- family
@@ -48,41 +47,23 @@ N_CRIT9 = 500
 @pytest.fixture(scope="module")
 def family():
     """Scenario-1 runs of the shared configuration with per-trial statistics."""
-    model = PopularityModel(M=400, gamma=0.6, q=20.0)
-    S, N, rho = 2, 20_000, 4.0
-    g_c = rho * model.M / S
-    policy = optimize_policy(model, S, g_c)
-    target = closed_form_outage(policy, model, g_c)
-    cfg = SchemeConfig(regime="gamma_lt1", model=model, S=S, rho_or_alpha1=rho)
-    r0 = 0.1 * math.sqrt(rho * model.M / (S * N))
-
-    acc = ThroughputAccumulator(T_prime=1.0)
-
-    def one(t):
-        want_schedule = t < N_CRIT6
-        realization = build_realization(model, policy, N, 42 + t)
-        res = run_scenario1(realization, cfg, PHY)
+    cfg = _config("outage_match.yaml", n_realizations=N_FAMILY, check_bounds=True)
+    inputs = build_point_inputs(cfg)
+    acc = ThroughputAccumulator(T_prime=cfg.T_prime)
+    fracs, floor_ratios, int_ratios, slacks = [], [], [], []
+    for t, (res, _, slack) in enumerate(run_trials(cfg, inputs)):
         slot = res.slot("cluster")
         floor = sinr_floor(slot.cluster_side, PHY, PHY.Pmax, PHY.Pmax)
         bound = interference_upper_bound(slot.cluster_side, PHY, PHY.Pmax)
-        slack = math.nan
-        if want_schedule:
-            check = check_transport_bound(res, PHY, r0, 0.1)
-            slack = check.slack if check.holds else -1.0
-        return res, slot.min_sinr / floor, slot.max_interference / bound, slack
-
-    fracs, floor_ratios, int_ratios, slacks = [], [], [], []
-    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        for t, (res, ratio, i_ratio, slack) in enumerate(pool.map(one, range(N_FAMILY))):
-            fracs.append(res.outage_fraction)
-            floor_ratios.append(ratio)
-            int_ratios.append(i_ratio)
-            slacks.append(slack)
-            if t < N_CRIT9:
-                acc.add(res)
+        fracs.append(res.outage_fraction)
+        floor_ratios.append(slot.min_sinr / floor)
+        int_ratios.append(slot.max_interference / bound)
+        slacks.append(slack)
+        if t < N_CRIT9:
+            acc.add(res)
     return {
-        "model": model,
-        "closed_form": target,
+        "cfg": cfg,
+        "closed_form": inputs[4],
         "fracs": np.asarray(fracs),
         "floor_ratios": np.asarray(floor_ratios),
         "interference_ratios": np.asarray(int_ratios),
@@ -135,70 +116,33 @@ def test_criterion_2_hit_probability_scaling():
     )
 
 
-def _run_sweep_point(model, S, rho, regime, N, seed0, scenario, C_sec, n_real):
-    g_c = rho * (model.M if regime == "gamma_lt1" else model.q) / S
-    cfg = SchemeConfig(regime=regime, model=model, S=S, rho_or_alpha1=rho, C_sec=C_sec)
-    if scenario == 2:
-        eps = derive_epsilon(cfg, N)
-        policy = build_split_policy(model, S, 2 * g_c, 2 * eps * g_c)
-        runner = run_scenario2
-    else:
-        policy = optimize_policy(model, S, g_c)
-        runner = run_scenario1
-    acc = ThroughputAccumulator(T_prime=1.0)
-    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        for res in pool.map(
-            lambda t: runner(build_realization(model, policy, N, seed0 + t), cfg, PHY),
-            range(n_real),
-        ):
-            acc.add(res)
-    return acc.finish()
-
-
 def test_criterion_3_scenario2_exponent_gamma_lt1():
-    S, gamma, q, rho, C_sec, n_real = 4, 0.6, 10.0, 4.0, 4.0, 100
-    xs, t2s, t1s = [], [], []
-    dominance = True
-    for M in (256, 512, 1024, 2048, 4096):
-        N = 50 * M
-        model = PopularityModel(M=M, gamma=gamma, q=q)
-        e2 = _run_sweep_point(model, S, rho, "gamma_lt1", N, 31_000, 2, C_sec, n_real)
-        e1 = _run_sweep_point(model, S, rho, "gamma_lt1", N, 31_000, 1, C_sec, n_real)
-        xs.append(S / M)
-        t2s.append(e2.mean_throughput)
-        t1s.append(e1.mean_throughput)
-        dominance &= e2.mean_throughput > e1.mean_throughput
-    fit = fit_loglog(xs, t2s)
-    target = predicted_exponent("scenario2_lt1", gamma)
-    slope_ok = abs(fit.slope - target) <= 0.10
+    s2 = run(_config("scaling_lt1.yaml", scheme="scenario2"))
+    s1 = run(_config("scaling_lt1.yaml", scheme="scenario1"))
+    dominance = all(
+        p2.estimate.mean_throughput > p1.estimate.mean_throughput
+        for p2, p1 in zip(s2.points, s1.points)
+    )
+    target = s2.predicted_exponent
+    slope_ok = s2.fit["n_points"] == 5 and abs(s2.fit["slope"] - target) <= 0.10
     _report(
         3,
         slope_ok and dominance,
-        f"scenario-2 slope {fit.slope:.4f} vs {target:.4f} +- 0.10; "
+        f"scenario-2 slope {s2.fit['slope']:.4f} vs {target:.4f} +- 0.10; "
         f"scenario-2 > scenario-1 at every point: {dominance}",
     )
 
 
 def test_criterion_4_exponents_gamma_gt1():
-    S, gamma, alpha1, C_sec, n_real = 4, 1.5, 4.0, 4.0, 100
-    xs, t1s, t2s = [], [], []
-    for qi in (64, 128, 256, 512, 1024):
-        q, M, N = float(qi), 50 * qi, 200 * qi
-        model = PopularityModel(M=M, gamma=gamma, q=q)
-        e2 = _run_sweep_point(model, S, alpha1, "gamma_gt1", N, 32_000, 2, C_sec, n_real)
-        e1 = _run_sweep_point(model, S, alpha1, "gamma_gt1", N, 32_000, 1, C_sec, n_real)
-        xs.append(S / q)
-        t1s.append(e1.mean_throughput)
-        t2s.append(e2.mean_throughput)
-    f1 = fit_loglog(xs, t1s)
-    f2 = fit_loglog(xs, t2s)
-    ok1 = abs(f1.slope - 1.0) <= 0.15
-    ok2 = abs(f2.slope - 0.5) <= 0.10
+    f2 = run(_config("scaling_gt1.yaml", scheme="scenario2")).fit
+    f1 = run(_config("scaling_gt1.yaml", scheme="scenario1")).fit
+    ok1 = f1["n_points"] == 5 and abs(f1["slope"] - 1.0) <= 0.15
+    ok2 = f2["n_points"] == 5 and abs(f2["slope"] - 0.5) <= 0.10
     _report(
         4,
         ok1 and ok2,
-        f"scenario-1 slope {f1.slope:.4f} vs 1 +- 0.15; "
-        f"scenario-2 slope {f2.slope:.4f} vs 0.5 +- 0.10",
+        f"scenario-1 slope {f1['slope']:.4f} vs 1 +- 0.15; "
+        f"scenario-2 slope {f2['slope']:.4f} vs 0.5 +- 0.10",
     )
 
 
@@ -276,25 +220,18 @@ def test_criterion_9_fairness(family):
     part_a = cv <= 5.0 * noise_floor
 
     # realization-level unfairness of the double time-slot scheme
-    model = family["model"]
-    S, N, rho, C_sec = 2, 20_000, 4.0, 4.0
-    g_c = rho * model.M / S
-    cfg = SchemeConfig(regime="gamma_lt1", model=model, S=S, rho_or_alpha1=rho, C_sec=C_sec)
-    eps = derive_epsilon(cfg, N)
-    split = build_split_policy(model, S, 2 * g_c, 2 * eps * g_c)
-
-    def one(t):
-        res = run_scenario2(build_realization(model, split, N, 9_000 + t), cfg, PHY)
+    cfg = dataclasses.replace(
+        family["cfg"], scheme="scenario2", base_seed=9_000, n_realizations=N_CRIT9,
+        check_bounds=False,
+    )
+    outcomes = []
+    for res, _, _ in run_trials(cfg, build_point_inputs(cfg)):
         s1, s2 = res.slot("cluster1"), res.slot("cluster2")
         only1 = s1.served & ~s2.served
-        if not s2.served.any() or not only1.any():
-            return None
-        return float(res.per_user_bits[s2.served].mean()) > float(
-            res.per_user_bits[only1].mean()
-        )
-
-    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        outcomes = [o for o in pool.map(one, range(N_CRIT9)) if o is not None]
+        if s2.served.any() and only1.any():
+            outcomes.append(
+                float(res.per_user_bits[s2.served].mean()) > float(res.per_user_bits[only1].mean())
+            )
     frac = float(np.mean(outcomes))
     part_b = frac >= 0.95
     _report(

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
+from d2dcache.analysis import fit_loglog
 from d2dcache.cli import main
 from d2dcache.config import (
     ExperimentConfig,
@@ -12,6 +14,8 @@ from d2dcache.config import (
     sweep_points,
 )
 from d2dcache.runner import run, write_artifact
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 BASE = {
     "scheme": "scenario1",
@@ -129,6 +133,12 @@ def test_run_sweep_emits_fit(tmp_path):
     artifact = run(cfg)
     assert len(artifact.points) == 3
     assert artifact.fit is not None
+    fit = fit_loglog(
+        [2 / p.params["M"] for p in artifact.points],
+        [p.estimate.mean_throughput for p in artifact.points],
+    )
+    assert artifact.fit["x"] == "S/M"
+    assert artifact.fit["slope"] == fit.slope
     assert artifact.predicted_exponent == 1.0  # scenario1, gamma<1
     header, rows = __import__("d2dcache.runner", fromlist=["artifact_rows"]).artifact_rows(
         artifact, cfg
@@ -178,6 +188,15 @@ def test_cli_simulate_and_analyze(tmp_path, capsys):
     assert data["points"][0]["predicted_exponent"] == 1.0
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_cli_analyze_shipped_config(tmp_path, path):
+    cfg = load_config(path)
+    rc = main(["analyze", "--config", str(path), "--out", str(tmp_path), "--format", "json"])
+    assert rc == 0
+    data = json.loads((tmp_path / "analysis.json").read_text())
+    assert len(data["points"]) == len(sweep_points(cfg))
+
+
 def test_cli_seed_override_changes_results(tmp_path):
     path = _write_cfg(tmp_path)
     main(["simulate", "--config", str(path), "--out", str(tmp_path / "s1"), "--seed", "7"])
@@ -188,21 +207,24 @@ def test_cli_seed_override_changes_results(tmp_path):
 
 
 def test_zipf_regime_single_point():
-    cfg = config_from_dict(
-        {
-            **BASE,
-            "regime": "zipf_gt1",
-            "gamma": 1.5,
-            "q": 0.0,
-            "M": 500,
-            "N": 5000,
-            "rho_or_alpha1": 200.0,  # alpha2': occupancy alpha2'/S per cluster
-        }
-    )
-    artifact = run(cfg)
+    raw = {
+        **BASE,
+        "regime": "zipf_gt1",
+        "gamma": 1.5,
+        "q": 0.0,
+        "M": 500,
+        "N": 5000,
+        "rho_or_alpha1": 200.0,  # alpha2': occupancy alpha2'/S per cluster
+    }
+    artifact = run(config_from_dict(raw))
     p = artifact.points[0]
     assert p.estimate is not None
     assert artifact.predicted_exponent == 0.0
+    # q = 0: an M-sweep is fitted against S/M, never S/q
+    sweep = {"param": "M", "values": [250, 500], "couple": {"N": "10 * M"}}
+    artifact = run(config_from_dict({**raw, "n_realizations": 2, "sweep": sweep}))
+    assert all(p.estimate is not None for p in artifact.points)
+    assert artifact.fit is not None and artifact.fit["x"] == "S/M"
 
 
 def test_cli_sweep_scenario2(tmp_path):
