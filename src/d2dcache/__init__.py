@@ -19,16 +19,15 @@ from .geometry import (
     place_users,
     reuse_color,
 )
-from .phy import PhyConfig, interference_upper_bound, link_rate, path_gain, sinr_floor
-from .schemes import SchemeConfig, SchemeResult, cluster_side, run_scenario1, run_scenario2, tune_epsilon
-from .metrics import check_transport_bound, estimate, transport_capacity
+from .phy import PhyConfig, interference_upper_bound, path_gain, sinr_floor
+from .schemes import SchemeResult, run_scenario1, run_scenario2
+from .metrics import check_transport_bound, transport_capacity
 from .analysis import (
     FixedPointConstants,
     ScalingFit,
     fit_loglog,
     po_sec_gamma_gt1,
     po_sec_gamma_lt1,
-    predicted_exponent,
     solve_c1_c2,
 )
 from .config import ExperimentConfig, load_config

@@ -21,14 +21,6 @@ from .popularity import PopularityModel
 RESIDUAL_TOL = 1e-12
 _MAX_FP_ITER = 10_000
 
-EXPONENTS = {
-    "scenario1_lt1": 1.0,        # throughput ~ (S/M)^1
-    "scenario2_lt1": None,       # (1-gamma)/(2-gamma), gamma-dependent
-    "scenario1_gt1": 1.0,        # throughput ~ (S/q)^1
-    "scenario2_gt1": 0.5,        # throughput ~ (S/q)^(1/2)
-    "zipf_gt1": 0.0,             # constant throughput
-}
-
 
 @dataclass(frozen=True)
 class FixedPointConstants:
@@ -177,19 +169,6 @@ def po_sec_gamma_gt1(gc_prime: float, model: PopularityModel, S: int) -> float:
         gamma - 1.0
     )
     return _clamp_probability(1.0 + a - b, "light-tailed cluster outage")
-
-
-def predicted_exponent(regime: str, gamma: float) -> float:
-    """Throughput exponent in the regime's driving ratio (S/M or S/q)."""
-    if regime not in EXPONENTS:
-        raise ValueError(f"unknown regime {regime!r}, expected one of {sorted(EXPONENTS)}")
-    if regime.endswith("lt1") and gamma >= 1.0:
-        raise ValueError(f"{regime} needs gamma < 1, got {gamma}")
-    if regime.endswith("gt1") and gamma <= 1.0:
-        raise ValueError(f"{regime} needs gamma > 1, got {gamma}")
-    if regime == "scenario2_lt1":
-        return (1.0 - gamma) / (2.0 - gamma)
-    return EXPONENTS[regime]
 
 
 def fit_loglog(x, y=None) -> ScalingFit:

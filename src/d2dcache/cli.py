@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
 
-from . import analysis, schemes, validate
+from . import validate
 from .config import config_to_dict, load_config, sweep_points
 from .phy import interference_upper_bound, sinr_floor
-from .runner import build_point_inputs, occupancy_target, regime_key, run, write_artifact
+from .regimes import REGIMES
+from .runner import build_point_inputs, run, write_artifact
 
 
 def _add_common(p: argparse.ArgumentParser, needs_config: bool = True):
@@ -79,27 +79,26 @@ def cmd_analyze(args) -> int:
     cfg = _load(args)
     rows = []
     for point in sweep_points(cfg):
-        model, policy, _, eps, closed_form = build_point_inputs(point)
-        g_c = occupancy_target(point)
-        d = schemes.cluster_side(point.regime, model, point.S, point.N, point.rho_or_alpha1)
+        inputs = build_point_inputs(point)
+        regime = REGIMES[point.regime]
+        d = inputs.sides[0]
         entry = {
             "N": point.N, "M": point.M, "S": point.S, "gamma": point.gamma,
             "q": point.q, "rho_or_alpha1": point.rho_or_alpha1,
             "cluster_side": d,
-            "occupancy": g_c,
+            "occupancy": inputs.occupancy,
             "sinr_floor": sinr_floor(d, point.phy, point.phy.Pmax, point.phy.Pmax),
             "interference_bound": interference_upper_bound(d, point.phy, point.phy.Pmax),
         }
         if point.scheme == "scenario2":
-            entry["epsilon"] = eps
-            entry["slot2_cluster_side"] = math.sqrt(eps) * d
-            slot2_outage = (
-                analysis.po_sec_gamma_lt1 if point.regime == "gamma_lt1" else analysis.po_sec_gamma_gt1
+            entry["epsilon"] = inputs.epsilon
+            entry["slot2_cluster_side"] = inputs.sides[1]
+            entry["slot2_outage_closed_form"] = regime.small_cluster_outage(
+                inputs.policy.gc2, inputs.model, point.S // 2
             )
-            entry["slot2_outage_closed_form"] = slot2_outage(policy.gc2, model, point.S // 2)
         else:
-            entry["outage_closed_form"] = closed_form
-        entry["predicted_exponent"] = analysis.predicted_exponent(regime_key(point), point.gamma)
+            entry["outage_closed_form"] = inputs.closed_form
+        entry["predicted_exponent"] = regime.exponent(point.scheme, point.gamma)
         rows.append(entry)
 
     os.makedirs(args.out, exist_ok=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import yaml
 
 from .phy import PhyConfig
-from .schemes import REGIMES
+from .regimes import REGIMES
 
 SCHEMES = ("scenario1", "scenario2")
 
@@ -86,42 +86,35 @@ class ExperimentConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+            raise ValueError(f"regime must be one of {tuple(REGIMES)}, got {self.regime!r}")
         for name in ("N", "M", "S", "n_realizations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if self.gamma < 0 or self.q < 0:
             raise ValueError("gamma and q must be non-negative")
         if self.rho_or_alpha1 <= 0 or self.C_sec <= 0 or self.T_prime <= 0 or self.eps0 <= 0:
             raise ValueError("rho_or_alpha1, C_sec, T_prime and eps0 must be positive")
-        if self.regime == "gamma_lt1" and self.gamma >= 1:
-            raise ValueError(f"regime gamma_lt1 needs gamma < 1, got {self.gamma}")
-        if self.regime in ("gamma_gt1", "zipf_gt1") and self.gamma <= 1:
-            raise ValueError(f"regime {self.regime} needs gamma > 1, got {self.gamma}")
+        regime = REGIMES[self.regime]
+        if not regime.allows_gamma(self.gamma):
+            side = ">" if regime.gamma_above_1 else "<"
+            raise ValueError(f"regime {regime.name} needs gamma {side} 1, got {self.gamma}")
+        if regime.driver and regime.driver_value(self) <= 0:
+            raise ValueError(
+                f"regime {regime.name} drives the cluster occupancy by {regime.driver}: "
+                f"{regime.driver} must be positive, got {regime.driver_value(self)}"
+            )
         if self.scheme == "scenario2" and self.S % 2 != 0:
             raise ValueError("scenario2 splits the cache: S must be even")
-        if self.scheme == "scenario2" and self.regime == "zipf_gt1":
+        if self.scheme not in regime.exponents:
             raise ValueError(
-                "the double time-slot scheme has no slot-2 tuning rule in the "
-                "constant-plateau regime; use scenario1 with zipf_gt1"
+                f"regime {regime.name} has no tuning rule for {self.scheme}; "
+                f"use one of {sorted(regime.exponents)}"
             )
-        self._warn_regime()
-
-    def _warn_regime(self):
         # asymptotic preconditions have no finite-size threshold; warn, not fail
-        if self.regime == "gamma_lt1" and self.q > self.M:
-            warnings.warn(
-                f"plateau q={self.q} exceeds library size M={self.M}; the "
-                "popularity law is nearly uniform and the heavy-tailed "
-                "scalings will be washed out",
-                stacklevel=3,
-            )
-        if self.regime == "gamma_gt1" and self.q > self.M / 10:
-            warnings.warn(
-                f"light-tailed regime expects q well below M, got q={self.q}, "
-                f"M={self.M}; scaling predictions may be off at this size",
-                stacklevel=3,
-            )
+        if regime.q_warn_divisor and self.q > self.M / regime.q_warn_divisor:
+            warnings.warn(regime.q_warning.format(q=self.q, M=self.M), stacklevel=2)
 
     def point(self, **overrides) -> "ExperimentConfig":
         return replace(self, sweep=None, **overrides)
@@ -231,7 +224,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     data = dict(raw)
-    phy_raw = {**DEFAULT_PHY, **(data.pop("phy", {}) or {})}
+    phy_section = data.pop("phy", None) or {}
+    if not isinstance(phy_section, dict):
+        raise ValueError(f"phy must be a mapping of channel parameters, got {phy_section!r}")
+    phy_raw = {**DEFAULT_PHY, **phy_section}
     unknown_phy = set(phy_raw) - {f.name for f in fields(PhyConfig)}
     if unknown_phy:
         raise ValueError(f"unknown phy keys: {sorted(unknown_phy)}")
@@ -245,13 +241,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     sweep_raw = data.pop("sweep", None)
     sweep = None
     if sweep_raw:
+        if not isinstance(sweep_raw, dict):
+            raise ValueError(f"sweep must be a mapping with param and values, got {sweep_raw!r}")
+        unknown_sweep = set(sweep_raw) - {"param", "values", "couple"}
+        if unknown_sweep:
+            raise ValueError(f"unknown sweep keys: {sorted(map(str, unknown_sweep))}")
+        for key in ("param", "values"):
+            if key not in sweep_raw:
+                raise ValueError(f"sweep.{key} is missing")
+        if not isinstance(sweep_raw["values"], (list, tuple)):
+            raise ValueError(f"sweep.values must be a list, got {sweep_raw['values']!r}")
+        couple = sweep_raw.get("couple") or {}
+        if not isinstance(couple, dict):
+            raise ValueError(f"sweep.couple must be a mapping of name: expression, got {couple!r}")
         sweep = SweepSpec(
-            param=sweep_raw["param"],
-            values=tuple(sweep_raw["values"]),
-            couple=dict(sweep_raw.get("couple", {}) or {}),
+            param=sweep_raw["param"], values=tuple(sweep_raw["values"]), couple=dict(couple)
         )
         for name in (sweep.param, *sweep.couple):
-            if name not in _INT_FIELDS | _FLOAT_FIELDS:
+            if not isinstance(name, str) or name not in _INT_FIELDS | _FLOAT_FIELDS:
                 raise ValueError(f"cannot sweep or couple {name!r}: not a numeric model parameter")
         if not all(_is_number(v) for v in sweep.values):
             raise ValueError(f"sweep.values must be numbers, got {list(sweep.values)!r}")

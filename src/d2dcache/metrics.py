@@ -92,14 +92,6 @@ class ThroughputAccumulator:
         )
 
 
-def estimate(results, T_prime: float) -> ThroughputOutageEstimate:
-    """Aggregate a collection of SchemeResult into throughput/outage figures."""
-    acc = ThroughputAccumulator(T_prime=T_prime)
-    for r in results:
-        acc.add(r)
-    return acc.finish()
-
-
 @dataclass
 class TransportRecord:
     distances: np.ndarray

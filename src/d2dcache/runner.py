@@ -20,6 +20,7 @@ from . import analysis, caching, metrics, schemes
 from .config import ExperimentConfig, config_to_dict, sweep_points, swept_param_names
 from .geometry import build_realization
 from .popularity import PopularityModel
+from .regimes import REGIMES
 
 SCHEMA_VERSION = 1
 
@@ -50,70 +51,68 @@ class ResultArtifact:
     config: dict
     points: list[PointResult]
     fit: dict | None
-    predicted_exponent: float | None
+    predicted_exponent: float
     schema_version: int = SCHEMA_VERSION
     seed_info: dict = field(default_factory=dict)
 
 
-def occupancy_target(cfg: ExperimentConfig) -> float:
-    """Mean users per cluster the scenario-1 policy is optimized for."""
-    if cfg.regime == "gamma_lt1":
-        return cfg.rho_or_alpha1 * cfg.M / cfg.S
-    if cfg.regime == "gamma_gt1":
-        return cfg.rho_or_alpha1 * cfg.q / cfg.S
-    return cfg.rho_or_alpha1 / cfg.S
+@dataclass(frozen=True)
+class PointInputs:
+    """What every trial of a point shares, all derived from one regime record.
+
+    sides holds the target cluster side of each clustered slot: sqrt(occupancy
+    / N), then sqrt(epsilon) times that for slot 2 of scenario 2.
+    """
+
+    model: PopularityModel
+    policy: caching.CachingPolicy | caching.SplitCachingPolicy
+    occupancy: float
+    sides: tuple[float, ...]
+    epsilon: float | None
+    closed_form: float
 
 
-def regime_key(cfg: ExperimentConfig) -> str:
-    """The analysis.predicted_exponent key of a config's scheme and regime."""
-    if cfg.regime == "zipf_gt1":
-        return "zipf_gt1"
-    return f"{cfg.scheme}_{'lt1' if cfg.regime == 'gamma_lt1' else 'gt1'}"
-
-
-def build_point_inputs(cfg: ExperimentConfig):
-    """Model, caching policy and scheme config for one sweep point."""
+def build_point_inputs(cfg: ExperimentConfig) -> PointInputs:
+    """Model, occupancy, cluster sides, caching policy and closed form of one point."""
+    regime = REGIMES[cfg.regime]
     model = PopularityModel(M=cfg.M, gamma=cfg.gamma, q=cfg.q)
-    scheme_cfg = schemes.SchemeConfig(
-        regime=cfg.regime,
-        model=model,
-        S=cfg.S,
-        rho_or_alpha1=cfg.rho_or_alpha1,
-        C_sec=cfg.C_sec,
-        T_prime=cfg.T_prime,
-    )
+    occupancy = regime.occupancy(cfg)
     # fail fast on an infeasible cluster side so the point is skipped cleanly
-    schemes.cluster_side(cfg.regime, model, cfg.S, cfg.N, cfg.rho_or_alpha1)
-    g_c = occupancy_target(cfg)
+    side = math.sqrt(occupancy / cfg.N)
+    if side > 1.0:
+        raise ValueError(
+            f"cluster side {side:.4g} exceeds the network; increase N or decrease the occupancy target"
+        )
     epsilon = None
     if cfg.scheme == "scenario2":
-        epsilon = schemes.derive_epsilon(scheme_cfg, cfg.N)
-        policy = caching.build_split_policy(model, cfg.S, 2.0 * g_c, 2.0 * epsilon * g_c)
+        epsilon = regime.epsilon(cfg)
+        sides = (side, math.sqrt(epsilon) * side)
+        policy = caching.build_split_policy(model, cfg.S, 2.0 * occupancy, 2.0 * epsilon * occupancy)
         closed_form = caching.closed_form_outage(policy.policy_slot1, model, policy.gc1)
     else:
-        policy = caching.optimize_policy(model, cfg.S, g_c)
-        closed_form = caching.closed_form_outage(policy, model, g_c)
-    return model, policy, scheme_cfg, epsilon, closed_form
+        sides = (side,)
+        policy = caching.optimize_policy(model, cfg.S, occupancy)
+        closed_form = caching.closed_form_outage(policy, model, occupancy)
+    return PointInputs(model, policy, occupancy, sides, epsilon, closed_form)
 
 
-def run_trial(cfg: ExperimentConfig, inputs, trial: int):
-    model, policy, scheme_cfg, epsilon, _ = inputs
+def run_trial(cfg: ExperimentConfig, inputs: PointInputs, trial: int):
     seed = cfg.base_seed + trial
-    realization = build_realization(model, policy, cfg.N, seed)
+    realization = build_realization(inputs.model, inputs.policy, cfg.N, seed)
     if cfg.scheme == "scenario2":
-        result = schemes.run_scenario2(realization, scheme_cfg, cfg.phy)
+        result = schemes.run_scenario2(realization, *inputs.sides, cfg.phy, cfg.T_prime)
     else:
-        result = schemes.run_scenario1(realization, scheme_cfg, cfg.phy)
+        result = schemes.run_scenario1(realization, *inputs.sides, cfg.phy, cfg.T_prime)
     dist, rates = result.transport_links()
     c_gamma = metrics.transport_capacity(dist, rates).C_gamma
     slack = math.nan
     if cfg.check_bounds:
-        r0 = cfg.eps0 * math.sqrt(occupancy_target(cfg) / cfg.N)
+        r0 = cfg.eps0 * inputs.sides[0]
         slack = metrics.check_transport_bound(result, cfg.phy, r0, cfg.eps0).slack
     return result, c_gamma, slack
 
 
-def run_trials(cfg: ExperimentConfig, inputs):
+def run_trials(cfg: ExperimentConfig, inputs: PointInputs):
     """run_trial for trials 0 .. n_realizations - 1 on cfg.threads workers
     (default: all cores), yielded in trial order."""
     with ThreadPoolExecutor(max_workers=cfg.threads or os.cpu_count() or 1) as pool:
@@ -151,32 +150,21 @@ def run_point(cfg: ExperimentConfig) -> PointResult:
         estimate=est,
         c_gamma_mean=float(np.mean(c_gammas)),
         bound_slack_min=slack_min,
-        closed_form_outage=inputs[4],
-        epsilon=inputs[3],
+        closed_form_outage=inputs.closed_form,
+        epsilon=inputs.epsilon,
         cluster_sides=sides,
     )
-
-
-def driving_ratio(regime: str, params: dict) -> tuple[str, float]:
-    """The sweep's fit axis: its label and its value at a point."""
-    if regime == "gamma_gt1":
-        return "S/q", params["S"] / params["q"]
-    return "S/M", params["S"] / params["M"]
 
 
 def run(cfg: ExperimentConfig) -> ResultArtifact:
     """Run every sweep point and fit the throughput scaling when possible."""
     points = [run_point(p) for p in sweep_points(cfg)]
 
+    regime = REGIMES[cfg.regime]
     fit = None
-    exponent = None
-    try:
-        exponent = analysis.predicted_exponent(regime_key(cfg), cfg.gamma)
-    except ValueError:
-        exponent = None
     good = [p for p in points if p.estimate is not None and p.estimate.mean_throughput > 0]
     if cfg.sweep is not None and len(good) >= 2:
-        axis = [driving_ratio(cfg.regime, p.params) for p in good]
+        axis = [regime.fit_axis(p.params) for p in good]
         y = [p.estimate.mean_throughput for p in good]
         try:
             f = analysis.fit_loglog([x for _, x in axis], y)
@@ -194,7 +182,7 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
         config=config_to_dict(cfg),
         points=points,
         fit=fit,
-        predicted_exponent=exponent,
+        predicted_exponent=regime.exponent(cfg.scheme, cfg.gamma),
         seed_info={
             "base_seed": cfg.base_seed,
             "trial_seeds": f"base_seed + 0..{cfg.n_realizations - 1} per point",

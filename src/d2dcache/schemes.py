@@ -28,37 +28,6 @@ from .geometry import (
     reuse_color,
 )
 from .phy import PhyConfig, path_gain
-from .popularity import PopularityModel
-
-REGIME_GAMMA_LT1 = "gamma_lt1"
-REGIME_GAMMA_GT1 = "gamma_gt1"
-REGIME_ZIPF_GT1 = "zipf_gt1"
-REGIMES = (REGIME_GAMMA_LT1, REGIME_GAMMA_GT1, REGIME_ZIPF_GT1)
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Scheme-level knobs plus the popularity model and cache size they act on."""
-
-    regime: str
-    model: PopularityModel
-    S: int
-    rho_or_alpha1: float
-    epsilon: float | None = None  # slot-2 shrink factor, scenario 2 only
-    C_sec: float = 4.0
-    T_prime: float = 1.0
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        if self.rho_or_alpha1 <= 0:
-            raise ValueError("rho_or_alpha1 must be positive")
-        if self.epsilon is not None and not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.C_sec <= 0:
-            raise ValueError("C_sec must be positive")
-        if self.T_prime <= 0:
-            raise ValueError("T_prime must be positive")
 
 
 @dataclass
@@ -146,58 +115,6 @@ class SchemeResult:
             else np.empty(0)
         )
         return d, bits / self.T_prime
-
-
-def cluster_side(
-    regime: str, model: PopularityModel, S: int, N: int, rho_or_alpha1: float
-) -> float:
-    """Target cluster side for the clustered delivery slot."""
-    if regime == REGIME_GAMMA_LT1:
-        d = math.sqrt(rho_or_alpha1 * model.M / (S * N))
-    elif regime == REGIME_GAMMA_GT1:
-        d = math.sqrt(rho_or_alpha1 * model.q / (S * N))
-    elif regime == REGIME_ZIPF_GT1:
-        d = math.sqrt(rho_or_alpha1 / (S * N))
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    if d > 1.0:
-        raise ValueError(
-            f"cluster side {d:.4g} exceeds the network; increase N or decrease the occupancy target"
-        )
-    return d
-
-
-def tune_epsilon(regime: str, model: PopularityModel, S: int, q_or_M: float, C_sec: float):
-    """Slot-2 shrink product: eps*rho (gamma<1) or eps*alpha1 (gamma>1).
-
-    The caller divides by rho or alpha1 to get eps; raises if that eps would
-    exceed 1 (network too small for the asymptotic tuning).
-    """
-    gamma = model.gamma
-    if regime == REGIME_GAMMA_LT1:
-        if gamma >= 1:
-            raise ValueError(f"regime {regime} needs gamma < 1, model has {gamma}")
-        product = C_sec * (S / q_or_M) ** (1.0 / (2.0 - gamma))
-    elif regime == REGIME_GAMMA_GT1:
-        if gamma <= 1:
-            raise ValueError(f"regime {regime} needs gamma > 1, model has {gamma}")
-        product = C_sec * math.sqrt(S / q_or_M)
-    else:
-        raise ValueError(f"slot-2 tuning is undefined for regime {regime!r}")
-    return product
-
-
-def derive_epsilon(cfg: SchemeConfig, N: int) -> float:
-    """eps = tune_epsilon(...) / rho_or_alpha1, validated against 1."""
-    q_or_m = cfg.model.M if cfg.regime == REGIME_GAMMA_LT1 else cfg.model.q
-    product = tune_epsilon(cfg.regime, cfg.model, cfg.S, q_or_m, cfg.C_sec)
-    eps = product / cfg.rho_or_alpha1
-    if eps > 1.0:
-        raise ValueError(
-            f"slot-2 shrink factor eps={eps:.4g} exceeds 1: the configuration is "
-            "not deep enough in the asymptotic regime (reduce C_sec or grow M/q)"
-        )
-    return eps
 
 
 def _ordered_pairs_within_groups(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,51 +249,47 @@ def _tdma_bits(
 
 def run_scenario1(
     realization: NetworkRealization,
-    cfg: SchemeConfig,
+    side: float,
     phy: PhyConfig,
+    T_prime: float,
 ) -> SchemeResult:
-    """TDMA half plus clustered half over a single unsplit cache."""
-    n = realization.n_users
-    d_target = cluster_side(cfg.regime, cfg.model, cfg.S, n, cfg.rho_or_alpha1)
-    k = grid_from_target_side(d_target)
-    grid = build_grid(k, realization.positions)
+    """TDMA half plus clustered half over a single unsplit cache, clusters of
+    target side `side`."""
+    grid = build_grid(grid_from_target_side(side), realization.positions)
     pairing = pair_within_clusters(realization, grid)
 
-    slot_a = _tdma_bits(realization, pairing, phy, cfg.T_prime)
-    slot_b = _clustered_bits(realization, pairing, grid, phy, cfg.T_prime / 2.0, "cluster")
+    slot_a = _tdma_bits(realization, pairing, phy, T_prime)
+    slot_b = _clustered_bits(realization, pairing, grid, phy, T_prime / 2.0, "cluster")
     return SchemeResult(
         per_user_bits=slot_a.bits + slot_b.bits,
         per_user_served=~pairing.outage_flags,
         slots=[slot_a, slot_b],
         realized_cluster_sides=(grid.side,),
-        T_prime=cfg.T_prime,
+        T_prime=T_prime,
     )
 
 
 def run_scenario2(
     realization: NetworkRealization,
-    cfg: SchemeConfig,
+    side1: float,
+    side2: float,
     phy: PhyConfig,
+    T_prime: float,
 ) -> SchemeResult:
     """Double time-slot delivery over a split cache.
 
-    Slot 1: clustered delivery, side d1, cache subspace 1. Slot 2: clustered
-    delivery, side d2 = sqrt(eps)*d1, cache subspace 2. A user is in outage
-    only if unserved in both slots.
+    Slot 1: clustered delivery, target side side1, cache subspace 1. Slot 2:
+    clustered delivery, target side side2 (sqrt(eps)*side1), cache subspace 2.
+    A user is in outage only if unserved in both slots.
     """
     if realization.caches_slot1 is None or realization.caches_slot2 is None:
         raise ValueError("scenario 2 needs a realization drawn from a split caching policy")
-    eps = cfg.epsilon if cfg.epsilon is not None else derive_epsilon(cfg, realization.n_users)
-    n = realization.n_users
-    d1 = cluster_side(cfg.regime, cfg.model, cfg.S, n, cfg.rho_or_alpha1)
-    d2 = math.sqrt(eps) * d1
-
-    grid1 = build_grid(grid_from_target_side(d1), realization.positions)
-    grid2 = build_grid(grid_from_target_side(d2), realization.positions)
+    grid1 = build_grid(grid_from_target_side(side1), realization.positions)
+    grid2 = build_grid(grid_from_target_side(side2), realization.positions)
     pairing1 = pair_within_clusters(realization, grid1, realization.caches_slot1)
     pairing2 = pair_within_clusters(realization, grid2, realization.caches_slot2)
 
-    half = cfg.T_prime / 2.0
+    half = T_prime / 2.0
     slot1 = _clustered_bits(realization, pairing1, grid1, phy, half, "cluster1")
     slot2 = _clustered_bits(realization, pairing2, grid2, phy, half, "cluster2")
     served = slot1.served | slot2.served
@@ -385,5 +298,5 @@ def run_scenario2(
         per_user_served=served,
         slots=[slot1, slot2],
         realized_cluster_sides=(grid1.side, grid2.side),
-        T_prime=cfg.T_prime,
+        T_prime=T_prime,
     )

@@ -16,12 +16,13 @@ from . import analysis, caching, runner
 from .config import DEFAULT_PHY, ExperimentConfig
 from .phy import PhyConfig, sinr_floor
 from .popularity import PopularityModel
+from .regimes import GAMMA_LT1
 
 _SEED = 20240811
 
 # small clustered network shared by the Monte Carlo suites
 _MINI = ExperimentConfig(
-    scheme="scenario1", regime="gamma_lt1", N=5000, M=100, S=2, gamma=0.6,
+    scheme="scenario1", regime=GAMMA_LT1.name, N=5000, M=100, S=2, gamma=0.6,
     q=10.0, rho_or_alpha1=4.0, n_realizations=1, base_seed=_SEED,
 )
 
@@ -86,7 +87,7 @@ def suite_transport_bound(n_real: int = 20) -> SuiteReport:
 def suite_outage_closed_form(n_real: int = 60) -> SuiteReport:
     inputs, trials = _mini_trials(n_real)
     fracs = np.array([res.outage_fraction for res, _, _ in trials])
-    target = inputs[4]
+    target = inputs.closed_form
     se = float(fracs.std(ddof=1) / math.sqrt(len(fracs)))
     gap = abs(float(fracs.mean()) - target)
     ok = gap <= 3.0 * se

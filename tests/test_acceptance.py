@@ -63,7 +63,7 @@ def family():
             acc.add(res)
     return {
         "cfg": cfg,
-        "closed_form": inputs[4],
+        "closed_form": inputs.closed_form,
         "fracs": np.asarray(fracs),
         "floor_ratios": np.asarray(floor_ratios),
         "interference_ratios": np.asarray(int_ratios),

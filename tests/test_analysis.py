@@ -11,9 +11,10 @@ from d2dcache.analysis import (
     fit_loglog,
     po_sec_gamma_gt1,
     po_sec_gamma_lt1,
-    predicted_exponent,
     solve_c1_c2,
 )
+from d2dcache.config import config_from_dict
+from d2dcache.regimes import REGIMES
 from d2dcache.caching import optimize_policy
 from d2dcache.popularity import PopularityModel, sample_request
 
@@ -145,17 +146,25 @@ def test_po_gt1_matches_cluster_monte_carlo():
 
 
 def test_predicted_exponents():
-    assert predicted_exponent("scenario2_lt1", 0.6) == pytest.approx(0.2857142857, abs=1e-9)
-    assert predicted_exponent("scenario1_lt1", 0.6) == 1.0
-    assert predicted_exponent("scenario1_gt1", 1.5) == 1.0
-    assert predicted_exponent("scenario2_gt1", 1.5) == 0.5
-    assert predicted_exponent("zipf_gt1", 1.5) == 0.0
+    lt1, gt1, zipf = REGIMES["gamma_lt1"], REGIMES["gamma_gt1"], REGIMES["zipf_gt1"]
+    assert lt1.exponent("scenario2", 0.6) == pytest.approx(0.2857142857, abs=1e-9)
+    assert lt1.exponent("scenario1", 0.6) == 1.0
+    assert gt1.exponent("scenario1", 1.5) == 1.0
+    assert gt1.exponent("scenario2", 1.5) == 0.5
+    assert zipf.exponent("scenario1", 1.5) == 0.0
+    # floats, so results.json prints 1.0, not 1
+    assert all(
+        isinstance(r.exponent(s, 0.6 if r is lt1 else 1.5), float)
+        for r in REGIMES.values() for s in r.exponents
+    )
     # gamma -> 0 limit of the heavy-tailed double-slot exponent
-    assert predicted_exponent("scenario2_lt1", 1e-12) == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(ValueError):
-        predicted_exponent("scenario2_lt1", 1.5)
-    with pytest.raises(ValueError):
-        predicted_exponent("nonsense", 0.5)
+    assert lt1.exponent("scenario2", 1e-12) == pytest.approx(0.5, abs=1e-9)
+    base = {"scheme": "scenario2", "N": 2000, "M": 50, "S": 2, "q": 5.0,
+            "rho_or_alpha1": 3.0, "n_realizations": 1, "base_seed": 0}
+    with pytest.raises(ValueError, match="gamma < 1"):
+        config_from_dict({**base, "regime": "gamma_lt1", "gamma": 1.5})
+    with pytest.raises(ValueError, match="regime"):
+        config_from_dict({**base, "regime": "nonsense", "gamma": 0.5})
 
 
 def test_fit_loglog_exact_square():

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from d2dcache.analysis import fit_loglog
+from d2dcache.caching import closed_form_outage, optimize_policy
 from d2dcache.cli import main
 from d2dcache.config import (
     ExperimentConfig,
@@ -13,7 +16,9 @@ from d2dcache.config import (
     load_config,
     sweep_points,
 )
-from d2dcache.runner import run, write_artifact
+from d2dcache.geometry import grid_from_target_side
+from d2dcache.regimes import REGIMES
+from d2dcache.runner import build_point_inputs, run, run_trial, write_artifact
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -67,12 +72,30 @@ def test_config_validation_errors():
         ("N", "1e4"),  # YAML reads 1e4 as a string
         ("N", True),
         ("gamma", "0.6"),
+        ("base_seed", -1),  # PCG64 would reject it inside the first trial
+        ("sweep", [1, 2]),
+        ("phy", [1]),
     ]
     for key, value in bad_types:
         with pytest.raises(ValueError, match=key):
             config_from_dict({**BASE, key: value})
     with pytest.raises(ValueError, match="phy.alpha"):
         config_from_dict({**BASE, "phy": {"alpha": "4"}})
+    bad_sweeps = [
+        ({"values": [50, 100]}, "sweep.param"),
+        ({"param": "M"}, "sweep.values"),
+        ({"param": "M", "values": 100}, "sweep.values"),
+        ({"param": "M", "values": [50], "couple": ["N"]}, "sweep.couple"),
+        ({"param": "M", "values": [50], "coupel": {"N": "40 * M"}}, "coupel"),  # was ignored
+    ]
+    for sweep, key in bad_sweeps:
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({**BASE, "sweep": sweep})
+    # gamma > 1 clusters are sized by q: q = 0 would divide by zero
+    gt1 = {**BASE, "regime": "gamma_gt1", "gamma": 1.5, "q": 0.0}
+    for scheme in ("scenario1", "scenario2"):
+        with pytest.raises(ValueError, match="q must be positive"):
+            config_from_dict({**gt1, "scheme": scheme})
     assert config_from_dict({**BASE, "gamma": 0, "threads": 2, "check_bounds": True}).threads == 2
 
 
@@ -102,6 +125,44 @@ def test_sweep_point_coupling():
         bad = {"param": "M", "values": [50], "couple": {"N": expr}}
         with pytest.raises(ValueError, match="coupling expression"):
             sweep_points(config_from_dict({**BASE, "sweep": bad}))
+
+
+@pytest.mark.parametrize(
+    "regime,scheme,over",
+    [
+        ("gamma_lt1", "scenario1", {}),
+        ("gamma_lt1", "scenario2", {"N": 20000, "M": 200, "rho_or_alpha1": 4.0}),
+        ("gamma_gt1", "scenario1", {"gamma": 1.5, "M": 500, "q": 20.0}),
+        ("gamma_gt1", "scenario2", {"gamma": 1.5, "M": 2000, "q": 100.0, "N": 20000,
+                                    "rho_or_alpha1": 4.0, "S": 4}),
+        ("zipf_gt1", "scenario1", {"gamma": 1.5, "q": 0.0, "M": 500, "rho_or_alpha1": 40.0}),
+    ],
+)
+def test_point_inputs_share_one_occupancy(regime, scheme, over):
+    cfg = config_from_dict({**BASE, "regime": regime, "scheme": scheme, **over})
+    inputs = build_point_inputs(cfg)
+    occupancy = REGIMES[regime].occupancy(cfg)
+    assert inputs.occupancy == occupancy
+    side = math.sqrt(occupancy / cfg.N)
+    if scheme == "scenario2":
+        eps = REGIMES[regime].epsilon(cfg)
+        assert inputs.epsilon == eps
+        assert (inputs.policy.gc1, inputs.policy.gc2) == (2.0 * occupancy, 2.0 * eps * occupancy)
+        solved = optimize_policy(inputs.model, cfg.S // 2, 2.0 * occupancy)
+        assert np.array_equal(inputs.policy.policy_slot1.probs, solved.probs)
+        closed = closed_form_outage(solved, inputs.model, 2.0 * occupancy)
+        assert inputs.sides == (side, math.sqrt(eps) * side)
+    else:
+        solved = optimize_policy(inputs.model, cfg.S, occupancy)
+        assert np.array_equal(inputs.policy.probs, solved.probs)
+        closed = closed_form_outage(solved, inputs.model, occupancy)
+        assert inputs.sides == (side,)
+    assert inputs.closed_form == closed
+    # the trial's grids are built from exactly these sides
+    result, _, _ = run_trial(cfg, inputs, 0)
+    assert result.realized_cluster_sides == tuple(
+        1.0 / grid_from_target_side(s) for s in inputs.sides
+    )
 
 
 def test_run_single_point_artifact(tmp_path):
@@ -199,6 +260,8 @@ def test_cli_analyze_shipped_config(tmp_path, path):
 
 def test_cli_seed_override_changes_results(tmp_path):
     path = _write_cfg(tmp_path)
+    with pytest.raises(ValueError, match="base_seed"):
+        main(["simulate", "--config", str(path), "--out", str(tmp_path / "s0"), "--seed", "-1"])
     main(["simulate", "--config", str(path), "--out", str(tmp_path / "s1"), "--seed", "7"])
     main(["simulate", "--config", str(path), "--out", str(tmp_path / "s2"), "--seed", "8"])
     a = (tmp_path / "s1" / "results.csv").read_text()

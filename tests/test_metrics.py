@@ -3,25 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from d2dcache.caching import build_split_policy, optimize_policy
-from d2dcache.config import DEFAULT_PHY
+from d2dcache.config import DEFAULT_PHY, ExperimentConfig
 from d2dcache.geometry import build_realization
-from d2dcache.metrics import (
-    ThroughputAccumulator,
-    check_transport_bound,
-    estimate,
-    transport_capacity,
-)
+from d2dcache.metrics import ThroughputAccumulator, check_transport_bound, transport_capacity
 from d2dcache.phy import PhyConfig, path_gain
-from d2dcache.popularity import PopularityModel
-from d2dcache.schemes import (
-    SchemeConfig,
-    SchemeResult,
-    SlotResult,
-    derive_epsilon,
-    run_scenario1,
-    run_scenario2,
-)
+from d2dcache.runner import build_point_inputs
+from d2dcache.schemes import SchemeResult, SlotResult, run_scenario1, run_scenario2
 
 PHY = PhyConfig(**DEFAULT_PHY)
 
@@ -36,6 +23,13 @@ def _synthetic_result(bits, served, T_prime=1.0):
         realized_cluster_sides=(),
         T_prime=T_prime,
     )
+
+
+def estimate(results, T_prime):
+    acc = ThroughputAccumulator(T_prime=T_prime)
+    for r in results:
+        acc.add(r)
+    return acc.finish()
 
 
 def test_estimate_single_uniform_realization():
@@ -127,20 +121,16 @@ def test_bound_single_full_band_link():
 
 @pytest.mark.parametrize("scheme", ["scenario1", "scenario2"])
 def test_bound_holds_on_simulated_schedules(scheme):
-    m = PopularityModel(M=100, gamma=0.6, q=10.0)
     S, N, rho = 2, 5000, 4.0
-    g_c = rho * m.M / S
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=S, rho_or_alpha1=rho)
-    if scheme == "scenario2":
-        eps = derive_epsilon(cfg, N)
-        policy = build_split_policy(m, S, 2.0 * g_c, 2.0 * eps * g_c)
-        run_scheme = run_scenario2
-    else:
-        policy = optimize_policy(m, S, g_c)
-        run_scheme = run_scenario1
-    r0 = 0.1 * math.sqrt(rho * m.M / (S * N))
+    inputs = build_point_inputs(ExperimentConfig(
+        scheme=scheme, regime="gamma_lt1", N=N, M=100, S=S, gamma=0.6, q=10.0,
+        rho_or_alpha1=rho, n_realizations=1, base_seed=0,
+    ))
+    run_scheme = run_scenario2 if scheme == "scenario2" else run_scenario1
+    r0 = 0.1 * math.sqrt(rho * 100 / (S * N))
     for seed in range(20):
-        res = run_scheme(build_realization(m, policy, N, 7100 + seed), cfg, PHY)
+        realization = build_realization(inputs.model, inputs.policy, N, 7100 + seed)
+        res = run_scheme(realization, *inputs.sides, PHY, 1.0)
         assert len(res.slots) == 2 and all(s.n_links for s in res.slots)
         record = transport_capacity(*res.transport_links())
         check = check_transport_bound(res, PHY, r0, 0.1, record=record)

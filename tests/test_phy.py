@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dcache.phy import (
-    ActiveLink,
-    ActiveSet,
     PhyConfig,
     interference_series_constant,
     interference_upper_bound,
-    link_rate,
     path_gain,
     sinr_floor,
 )
+from link_oracle import ActiveLink, ActiveSet, link_rate
 
 ZETA3 = 1.2020569031595943  # independent value of sum i^-3
 

@@ -1,66 +1,74 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache.caching import build_split_policy, closed_form_outage, optimize_policy
-from d2dcache.config import DEFAULT_PHY
-from d2dcache.geometry import build_realization
+from d2dcache.config import DEFAULT_PHY, ExperimentConfig
+from d2dcache.geometry import build_grid, build_realization, pair_within_clusters
 from d2dcache.phy import PhyConfig, sinr_floor
 from d2dcache.popularity import PopularityModel
-from d2dcache.schemes import (
-    SchemeConfig,
-    cluster_side,
-    derive_epsilon,
-    run_scenario1,
-    run_scenario2,
-    tune_epsilon,
-)
+from d2dcache.regimes import REGIMES
+from d2dcache.runner import build_point_inputs
+from d2dcache.schemes import _clustered_bits, run_scenario1, run_scenario2
+from link_oracle import ActiveLink, ActiveSet, link_rate
 
 PHY = PhyConfig(**DEFAULT_PHY)
 
 
+def _config(**over):
+    base = dict(scheme="scenario1", regime="gamma_lt1", N=10_000, M=100, S=2, gamma=0.6,
+                q=5.0, rho_or_alpha1=1.0, n_realizations=1, base_seed=0)
+    return ExperimentConfig(**{**base, **over})
+
+
+def _side(model, S, N, rho):
+    """Target cluster side of a gamma < 1 point: sqrt(rho*M/S / N)."""
+    return math.sqrt(rho * model.M / S / N)
+
+
 def test_cluster_side_values():
-    m = PopularityModel(M=100, gamma=0.6, q=5.0)
-    assert cluster_side("gamma_lt1", m, 4, 10_000, 1.0) == pytest.approx(0.05)
-    mg = PopularityModel(M=1000, gamma=1.5, q=50.0)
-    assert cluster_side("gamma_gt1", mg, 2, 100_000, 2.0) == pytest.approx(
-        math.sqrt(100.0 / 200_000.0)
-    )
+    assert build_point_inputs(_config(S=4)).sides == (pytest.approx(0.05),)
+    gt1 = _config(regime="gamma_gt1", gamma=1.5, M=1000, q=50.0, N=100_000, rho_or_alpha1=2.0)
+    assert build_point_inputs(gt1).sides == (pytest.approx(math.sqrt(100.0 / 200_000.0)),)
     # doubling M at fixed N, S, rho scales d by sqrt(2)
-    m2 = PopularityModel(M=200, gamma=0.6, q=5.0)
-    assert cluster_side("gamma_lt1", m2, 4, 10_000, 1.0) == pytest.approx(
-        0.05 * math.sqrt(2.0)
+    assert build_point_inputs(_config(S=4, M=200)).sides == (
+        pytest.approx(0.05 * math.sqrt(2.0)),
     )
-    with pytest.raises(ValueError):
-        cluster_side("gamma_lt1", m, 1, 50, 1.0)  # side > 1
+    with pytest.raises(ValueError, match="cluster side"):
+        build_point_inputs(_config(S=1, N=50))  # side > 1
 
 
 def test_tune_epsilon_values():
-    m = PopularityModel(M=400, gamma=0.6, q=10.0)
-    prod = tune_epsilon("gamma_lt1", m, 4, 400, 1.0)
+    # rho_or_alpha1 = 1, so epsilon is the shrink product itself
+    lt1, gt1 = REGIMES["gamma_lt1"], REGIMES["gamma_gt1"]
+    prod = lt1.epsilon(_config(M=400, q=10.0, S=4, C_sec=1.0))
     assert prod == pytest.approx((4 / 400) ** (1 / 1.4), rel=1e-12)
     assert prod == pytest.approx(0.03728, rel=1e-3)
-    mg = PopularityModel(M=4000, gamma=1.5, q=400.0)
-    assert tune_epsilon("gamma_gt1", mg, 4, 400, 1.0) == pytest.approx(0.1)
-    assert tune_epsilon("gamma_gt1", mg, 4, 400, 2.0) == pytest.approx(0.2)
+    cfg = _config(regime="gamma_gt1", gamma=1.5, M=4000, q=400.0, S=4, C_sec=1.0)
+    assert gt1.epsilon(cfg) == pytest.approx(0.1)
+    assert gt1.epsilon(replace(cfg, C_sec=2.0)) == pytest.approx(0.2)
+    zipf = _config(regime="zipf_gt1", gamma=1.5, M=4000, q=400.0, S=4)
     with pytest.raises(ValueError):
-        tune_epsilon("zipf_gt1", mg, 4, 400, 1.0)
+        REGIMES["zipf_gt1"].epsilon(zipf)
+    with pytest.raises(ValueError, match="scenario2"):
+        replace(zipf, scheme="scenario2")
 
 
 def test_derive_epsilon_regime_error():
-    m = PopularityModel(M=8, gamma=0.6, q=0.0)
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=4, rho_or_alpha1=0.05, C_sec=4.0)
-    with pytest.raises(ValueError):
-        derive_epsilon(cfg, 100)
+    cfg = _config(scheme="scenario2", M=8, q=0.0, S=4, N=100, rho_or_alpha1=0.05, C_sec=4.0)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        build_point_inputs(cfg)
 
 
 def test_full_cache_never_outages():
     m = PopularityModel(M=4, gamma=0.7, q=0.0)
     policy = optimize_policy(m, 4, 10.0)
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=4, rho_or_alpha1=2.0)
     realization = build_realization(m, policy, 500, 1)
-    res = run_scenario1(realization, cfg, PHY)
+    res = run_scenario1(realization, _side(m, 4, 500, 2.0), PHY, 1.0)
     assert res.outage_fraction == 0.0
     assert np.all(res.per_user_bits > 0)
 
@@ -68,9 +76,8 @@ def test_full_cache_never_outages():
 def test_single_user_tdma_degenerate():
     m = PopularityModel(M=1, gamma=0.5, q=0.0)
     policy = optimize_policy(m, 1, 1.0)
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=1, rho_or_alpha1=1.0)
     realization = build_realization(m, policy, 1, 0)
-    res = run_scenario1(realization, cfg, PHY)
+    res = run_scenario1(realization, _side(m, 1, 1, 1.0), PHY, 1.0)
     tdma = res.slot("tdma")
     # the lone user self-serves, full band, half the epoch, capped gain
     snr = PHY.Pmax * PHY.gain_cap / (PHY.B * PHY.N0)
@@ -84,9 +91,9 @@ def test_scenario1_outage_matches_closed_form_small():
     g_c = rho * m.M / S
     policy = optimize_policy(m, S, g_c)
     target = closed_form_outage(policy, m, g_c)
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=S, rho_or_alpha1=rho)
+    side = _side(m, S, N, rho)
     fracs = [
-        run_scenario1(build_realization(m, policy, N, 600 + t), cfg, PHY).outage_fraction
+        run_scenario1(build_realization(m, policy, N, 600 + t), side, PHY, 1.0).outage_fraction
         for t in range(60)
     ]
     fr = np.asarray(fracs)
@@ -98,9 +105,8 @@ def test_scenario1_equal_service_per_cycle():
     # each served user is activated exactly once per slot
     m = PopularityModel(M=50, gamma=0.7, q=5.0)
     policy = optimize_policy(m, 2, 50.0)
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=2, rho_or_alpha1=2.0)
     realization = build_realization(m, policy, 2000, 8)
-    res = run_scenario1(realization, cfg, PHY)
+    res = run_scenario1(realization, _side(m, 2, 2000, 2.0), PHY, 1.0)
     for label in ("tdma", "cluster"):
         rx = res.slot(label).link_rx
         assert len(np.unique(rx)) == len(rx)
@@ -114,18 +120,18 @@ def test_scenario1_equal_service_per_cycle():
 def test_scenario1_deterministic():
     m = PopularityModel(M=30, gamma=0.8, q=2.0)
     policy = optimize_policy(m, 2, 30.0)
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=2, rho_or_alpha1=2.0)
-    a = run_scenario1(build_realization(m, policy, 1000, 5), cfg, PHY)
-    b = run_scenario1(build_realization(m, policy, 1000, 5), cfg, PHY)
+    side = _side(m, 2, 1000, 2.0)
+    a = run_scenario1(build_realization(m, policy, 1000, 5), side, PHY, 1.0)
+    b = run_scenario1(build_realization(m, policy, 1000, 5), side, PHY, 1.0)
     assert np.array_equal(a.per_user_bits, b.per_user_bits)
 
 
 def test_scenario1_sinr_floor_holds():
     m = PopularityModel(M=100, gamma=0.6, q=10.0)
     policy = optimize_policy(m, 2, 200.0)
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=2, rho_or_alpha1=4.0)
+    side = _side(m, 2, 5000, 4.0)
     for seed in range(10):
-        res = run_scenario1(build_realization(m, policy, 5000, 40 + seed), cfg, PHY)
+        res = run_scenario1(build_realization(m, policy, 5000, 40 + seed), side, PHY, 1.0)
         slot = res.slot("cluster")
         floor = sinr_floor(slot.cluster_side, PHY, PHY.Pmax, PHY.Pmax)
         assert slot.min_sinr >= floor
@@ -136,34 +142,27 @@ def test_interference_below_closed_form_bound():
 
     m = PopularityModel(M=100, gamma=0.6, q=10.0)
     policy = optimize_policy(m, 2, 200.0)
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=2, rho_or_alpha1=4.0)
+    side = _side(m, 2, 5000, 4.0)
     for seed in range(100):
-        res = run_scenario1(build_realization(m, policy, 5000, 300 + seed), cfg, PHY)
+        res = run_scenario1(build_realization(m, policy, 5000, 300 + seed), side, PHY, 1.0)
         slot = res.slot("cluster")
         bound = interference_upper_bound(slot.cluster_side, PHY, PHY.Pmax)
         assert slot.max_interference <= bound
 
 
-def _scenario2_setup(N=20_000, seed=17, C_sec=4.0, epsilon=None):
-    m = PopularityModel(M=400, gamma=0.6, q=20.0)
-    S, rho = 2, 4.0
-    g_c = rho * m.M / S
-    cfg = SchemeConfig(
-        regime="gamma_lt1", model=m, S=S, rho_or_alpha1=rho, C_sec=C_sec, epsilon=epsilon
-    )
-    eps = epsilon if epsilon is not None else derive_epsilon(cfg, N)
-    split = build_split_policy(m, S, 2 * g_c, 2 * eps * g_c)
-    realization = build_realization(m, split, N, seed)
-    return m, cfg, split, realization
+def _scenario2_setup(N=20_000, seed=17):
+    cfg = _config(scheme="scenario2", N=N, M=400, q=20.0, S=2, rho_or_alpha1=4.0, C_sec=4.0)
+    inputs = build_point_inputs(cfg)
+    return inputs, build_realization(inputs.model, inputs.policy, N, seed)
 
 
 def test_scenario2_requires_split_caches():
     m = PopularityModel(M=50, gamma=0.6, q=2.0)
     policy = optimize_policy(m, 2, 50.0)
     realization = build_realization(m, policy, 500, 0)
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=2, rho_or_alpha1=2.0)
+    side = _side(m, 2, 500, 2.0)
     with pytest.raises(ValueError):
-        run_scenario2(realization, cfg, PHY)
+        run_scenario2(realization, side, side, PHY, 1.0)
 
 
 def test_scenario2_identical_construction_when_eps_one():
@@ -174,11 +173,9 @@ def test_scenario2_identical_construction_when_eps_one():
     g_c = rho * m.M / S
     split = build_split_policy(m, S, 2 * g_c, 2 * g_c)
     assert np.array_equal(split.policy_slot1.probs, split.policy_slot2.probs)
-    cfg = SchemeConfig(
-        regime="gamma_lt1", model=m, S=S, rho_or_alpha1=rho, epsilon=1.0
-    )
+    side = _side(m, S, N, rho)
     realization = build_realization(m, split, N, 23)
-    res = run_scenario2(realization, cfg, PHY)
+    res = run_scenario2(realization, side, side, PHY, 1.0)
     s1, s2 = res.slot("cluster1"), res.slot("cluster2")
     assert res.realized_cluster_sides[0] == res.realized_cluster_sides[1]
     assert s1.n_links == pytest.approx(s2.n_links, rel=0.05)
@@ -186,8 +183,8 @@ def test_scenario2_identical_construction_when_eps_one():
 
 
 def test_scenario2_slot2_links_shorter():
-    _, cfg, _, realization = _scenario2_setup()
-    res = run_scenario2(realization, cfg, PHY)
+    inputs, realization = _scenario2_setup()
+    res = run_scenario2(realization, *inputs.sides, PHY, 1.0)
     assert res.slot("cluster2").mean_distance < res.slot("cluster1").mean_distance
     d1, d2 = res.realized_cluster_sides
     assert d2 < d1
@@ -197,19 +194,16 @@ def test_scenario2_slot2_links_shorter():
 def test_scenario2_slot2_rate_and_total_advantage():
     # paired comparison on shared seeds: the short-link slot carries a higher
     # per-link rate and the double-slot scheme beats the single-cache scheme
-    m = PopularityModel(M=400, gamma=0.6, q=10.0)
-    S, rho, N = 4, 4.0, 50_000
-    g_c = rho * m.M / S
-    cfg = SchemeConfig(regime="gamma_lt1", model=m, S=S, rho_or_alpha1=rho, C_sec=4.0)
-    eps = derive_epsilon(cfg, N)
-    split = build_split_policy(m, S, 2 * g_c, 2 * eps * g_c)
-    pol1 = optimize_policy(m, S, g_c)
+    N = 50_000
+    cfg = _config(N=N, M=400, q=10.0, S=4, rho_or_alpha1=4.0, C_sec=4.0)
+    in1 = build_point_inputs(cfg)
+    in2 = build_point_inputs(replace(cfg, scheme="scenario2"))
     rate1, rate2, t2tot, t1tot = [], [], [], []
     for seed in range(5):
-        r2 = build_realization(m, split, N, 900 + seed)
-        res2 = run_scenario2(r2, cfg, PHY)
-        r1 = build_realization(m, pol1, N, 900 + seed)
-        res1 = run_scenario1(r1, cfg, PHY)
+        r2 = build_realization(in2.model, in2.policy, N, 900 + seed)
+        res2 = run_scenario2(r2, *in2.sides, PHY, 1.0)
+        r1 = build_realization(in1.model, in1.policy, N, 900 + seed)
+        res1 = run_scenario1(r1, *in1.sides, PHY, 1.0)
         rate1.append(res2.slot("cluster1").mean_rate)
         rate2.append(res2.slot("cluster2").mean_rate)
         t2tot.append(res2.per_user_bits.mean())
@@ -219,8 +213,8 @@ def test_scenario2_slot2_rate_and_total_advantage():
 
 
 def test_scenario2_outage_only_when_both_slots_miss():
-    _, cfg, _, realization = _scenario2_setup(N=10_000, seed=31)
-    res = run_scenario2(realization, cfg, PHY)
+    inputs, realization = _scenario2_setup(N=10_000, seed=31)
+    res = run_scenario2(realization, *inputs.sides, PHY, 1.0)
     s1, s2 = res.slot("cluster1"), res.slot("cluster2")
     assert np.array_equal(res.per_user_served, s1.served | s2.served)
     # users served by either slot carry bits
@@ -229,9 +223,41 @@ def test_scenario2_outage_only_when_both_slots_miss():
 
 
 def test_scenario2_sinr_floor_both_slots():
-    _, cfg, _, realization = _scenario2_setup(N=20_000, seed=57)
-    res = run_scenario2(realization, cfg, PHY)
+    inputs, realization = _scenario2_setup(N=20_000, seed=57)
+    res = run_scenario2(realization, *inputs.sides, PHY, 1.0)
     for label, side in zip(("cluster1", "cluster2"), res.realized_cluster_sides):
         slot = res.slot(label)
         floor = sinr_floor(side, PHY, PHY.Pmax, PHY.Pmax)
         assert slot.min_sinr >= floor
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(2, 300),
+    M=st.integers(1, 30),
+    S=st.integers(1, 4),
+    k=st.integers(1, 9),
+    K=st.integers(1, 2),
+    chi=st.sampled_from([1e-11, 1e-8, 1e-4]),
+    ceiling=st.sampled_from([None, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clustered_rates_match_scalar_oracle(N, M, S, k, K, chi, ceiling, seed):
+    # every (round, color) resource of a clustered slot, rebuilt as one oracle
+    # ActiveSet: each link's rate is the scalar SINR rate among its companions
+    phy = PhyConfig(**{**DEFAULT_PHY, "K": K, "chi": chi, "sinr_ceiling": ceiling})
+    m = PopularityModel(M=M, gamma=0.6, q=1.0)
+    S = min(S, M)
+    realization = build_realization(m, optimize_policy(m, S, N / k**2), N, seed)
+    grid = build_grid(k, realization.positions)
+    pairing = pair_within_clusters(realization, grid)
+    slot = _clustered_bits(realization, pairing, grid, phy, 0.5, "cluster")
+    tx_of = dict(zip(pairing.rx.tolist(), pairing.tx.tolist()))  # each rx once per slot
+    assert len(tx_of) == slot.n_links
+    for key in np.unique(slot.link_res):
+        rows = np.flatnonzero(slot.link_res == key)
+        links = [ActiveLink(tx_of[int(rx)], int(rx), phy.Pmax, int(key)) for rx in slot.link_rx[rows]]
+        aset = ActiveSet(links, realization.positions, phy.Pmax)
+        for link, row in zip(aset.links, rows):
+            expect = link_rate(link, aset, phy, slot.bandwidth)
+            assert slot.link_rate[row] == pytest.approx(expect, rel=1e-9)
