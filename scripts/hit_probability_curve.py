@@ -8,22 +8,11 @@ Writes a CSV next to stdout output; no plotting.
 """
 
 import argparse
-import math
 import os
 
-import numpy as np
-
-from d2dcache.analysis import fit_loglog, po_sec_gamma_lt1
-from d2dcache.caching import optimize_policy
-from d2dcache.popularity import PopularityModel, sample_request
-
-
-def cluster_mc(model, policy, gc, n_draws, rng):
-    occupants = rng.poisson(gc, size=n_draws)
-    files = sample_request(model, rng, size=n_draws)
-    holders = rng.binomial(occupants, policy.probs[files - 1])
-    p = float((holders == 0).mean())
-    return p, math.sqrt(p * (1 - p) / n_draws)
+from d2dcache.analysis import fit_loglog
+from d2dcache.popularity import PopularityModel
+from d2dcache.validate import hit_probability_curve
 
 
 def main():
@@ -38,21 +27,7 @@ def main():
     args = ap.parse_args()
 
     model = PopularityModel(M=args.M, gamma=args.gamma, q=args.q)
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    rows = []
-    for k in range(4, 11):
-        er = 2.0**-k
-        gc = er * args.M / args.S
-        po = po_sec_gamma_lt1(gc, model, args.S)
-        row = {"eps_rho": er, "p_hit_closed_form": 1.0 - po}
-        if k in (4, 7, 10):
-            policy = optimize_policy(model, args.S, gc)
-            p_mc, se = cluster_mc(model, policy, gc, args.draws, rng)
-            row["p_out_mc"] = p_mc
-            row["mc_se"] = se
-            row["gap_in_se"] = abs(p_mc - po) / se
-        rows.append(row)
-
+    rows = hit_probability_curve(model, args.S, args.seed, args.draws)
     fit = fit_loglog([r["eps_rho"] for r in rows], [r["p_hit_closed_form"] for r in rows])
     print(f"hit-probability slope: {fit.slope:.4f} (prediction {1 - args.gamma:.4f})")
     for r in rows:

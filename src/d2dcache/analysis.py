@@ -171,17 +171,8 @@ def po_sec_gamma_gt1(gc_prime: float, model: PopularityModel, S: int) -> float:
     return _clamp_probability(1.0 + a - b, "light-tailed cluster outage")
 
 
-def fit_loglog(x, y=None) -> ScalingFit:
-    """Ordinary least squares of ln(y) on ln(x).
-
-    Accepts parallel sequences fit_loglog(x, y) or a single sequence of
-    (x, y) pairs.
-    """
-    if y is None:
-        pairs = np.asarray(x, dtype=np.float64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("expected a sequence of (x, y) pairs")
-        x, y = pairs[:, 0], pairs[:, 1]
+def fit_loglog(x, y) -> ScalingFit:
+    """Ordinary least squares of ln(y) on ln(x) over parallel sequences."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:

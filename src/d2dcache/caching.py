@@ -133,12 +133,13 @@ def optimize_policy(model: PopularityModel, S: int, g_c: float) -> CachingPolicy
 
 
 def closed_form_outage(policy: CachingPolicy, model: PopularityModel, g_c: float) -> float:
-    """Cluster outage sum_f P(f)*exp(-g_c*Pc(f)) for Poisson(g_c) occupancy."""
+    """Cluster outage sum_f P(f)*exp(-g_c*Pc(f)) for Poisson(g_c) occupancy,
+    summed by np.add.reduce so that no BLAS thread count enters the result."""
     if policy.M != model.M:
         raise ValueError(
             f"policy covers {policy.M} files but the model has {model.M}"
         )
-    return float(np.dot(model.pmf_table, np.exp(-g_c * policy.probs)))
+    return float(np.add.reduce(model.pmf_table * np.exp(-g_c * policy.probs)))
 
 
 def _interval_partition(probs: np.ndarray, S: int, offsets: np.ndarray) -> np.ndarray:

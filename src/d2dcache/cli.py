@@ -23,9 +23,8 @@ from .regimes import REGIMES
 from .runner import build_point_inputs, run, write_artifact
 
 
-def _add_common(p: argparse.ArgumentParser, needs_config: bool = True):
-    if needs_config:
-        p.add_argument("--config", required=True, help="YAML experiment config")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--seed", type=int, default=None, help="override base_seed")
     p.add_argument("--threads", type=int, default=None, help="worker threads (default: cores)")
     p.add_argument("--out", default="results", help="output directory")

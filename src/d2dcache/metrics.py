@@ -93,13 +93,6 @@ class ThroughputAccumulator:
 
 
 @dataclass
-class TransportRecord:
-    distances: np.ndarray
-    rates: np.ndarray
-    C_gamma: float
-
-
-@dataclass
 class BoundCheck:
     holds: bool
     slack: float
@@ -108,15 +101,16 @@ class BoundCheck:
     terms: dict[str, float]
 
 
-def transport_capacity(distances, rates) -> TransportRecord:
-    """C_gamma = sum over pairs of distance * average rate (meter-bits/s)."""
+def transport_capacity(distances, rates) -> float:
+    """C_gamma = sum over pairs of distance * average rate (meter-bits/s),
+    summed without BLAS so that no BLAS thread count enters the result."""
     d = np.asarray(distances, dtype=np.float64)
     c = np.asarray(rates, dtype=np.float64)
     if np.any(d < 0):
         raise ValueError("link distances must be non-negative")
     if d.shape != c.shape:
         raise ValueError("distances and rates must be parallel arrays")
-    return TransportRecord(distances=d, rates=c, C_gamma=float(np.dot(d, c)))
+    return float(np.add.reduce(d * c))
 
 
 def bound_constant(alpha: float) -> float:
@@ -140,16 +134,14 @@ def check_transport_bound(
     phy: PhyConfig,
     R0: float,
     eps0: float,
-    record: TransportRecord | None = None,
 ) -> BoundCheck:
     """Verify the transport-capacity upper bound on one realized schedule.
 
     The schedule is read off the per-slot link tables: each link holds its
     slot's airtime and bandwidth, and the first link of each resource in a
     slot is that resource's max-power representative. LHS is the realized
-    transport capacity (cross-checked against record.C_gamma when a record is
-    supplied). RHS adds, per time-frequency resource, the max-power pair's
-    noise-only transport rate and the actual transport of short (< R0)
+    transport capacity. RHS adds, per time-frequency resource, the max-power
+    pair's noise-only transport rate and the actual transport of short (< R0)
     non-representative pairs, plus the closed-form term
     B*log2(e)/eps0 * sqrt(SN/(rho' M)) * C(alpha) with sqrt(SN/(rho' M))
     expressed through R0 = eps0*sqrt(rho' M/(S N)).
@@ -165,11 +157,6 @@ def check_transport_bound(
     link_se = np.log2(1.0 + phy.effective_sinr(_concat([s.link_sinr for s in slots])))
 
     lhs = float(np.sum(link_w * link_d * link_se))
-    if record is not None and abs(record.C_gamma - lhs) > 1e-9 * max(1.0, abs(lhs)):
-        raise ValueError(
-            f"transport record C_gamma={record.C_gamma:.6g} disagrees with the "
-            f"schedule's realized transport {lhs:.6g}"
-        )
 
     # resource keys restart in every slot, so representatives are found per slot
     is_w = _concat([_first_of_runs(s.link_res) for s in slots], bool)

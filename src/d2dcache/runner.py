@@ -104,7 +104,7 @@ def run_trial(cfg: ExperimentConfig, inputs: PointInputs, trial: int):
     else:
         result = schemes.run_scenario1(realization, *inputs.sides, cfg.phy, cfg.T_prime)
     dist, rates = result.transport_links()
-    c_gamma = metrics.transport_capacity(dist, rates).C_gamma
+    c_gamma = metrics.transport_capacity(dist, rates)
     slack = math.nan
     if cfg.check_bounds:
         r0 = cfg.eps0 * inputs.sides[0]

@@ -1,8 +1,9 @@
-"""Cross-module invariant suites behind the `validate` CLI subcommand.
+"""The paper's invariants as check functions, and the `validate` suites.
 
-Each suite runs at a pinned seed and reports pass/fail with a short detail
-string; any failure flips the process exit code. These are quick release
-gates, not the full acceptance runs.
+Each `check_*` function takes its inputs (per-trial results, or a seed and a
+size) and returns a `SuiteReport`. The acceptance gate and the `validate` CLI
+subcommand call the same checks, each at its own seeds and sizes; the
+`validate` suites are quick release gates, not the full acceptance runs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import analysis, caching, runner
 from .config import DEFAULT_PHY, ExperimentConfig
-from .phy import PhyConfig, sinr_floor
-from .popularity import PopularityModel
+from .phy import PhyConfig, interference_upper_bound, sinr_floor
+from .popularity import PopularityModel, sample_request
 from .regimes import GAMMA_LT1
 
 _SEED = 20240811
@@ -33,7 +34,149 @@ class SuiteReport:
     passed: bool
     detail: str
     n_checks: int
-    seed: int | None = None
+    seed: int
+
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def cluster_ratios(result, phy: PhyConfig) -> tuple[float, float]:
+    """(min SINR / floor, max interference / ring bound) of the cluster slot
+    of one scenario-1 result; both are inf / 0 when no link was active."""
+    slot = result.slot("cluster")
+    floor = sinr_floor(slot.cluster_side, phy, phy.Pmax, phy.Pmax)
+    bound = interference_upper_bound(slot.cluster_side, phy, phy.Pmax)
+    return slot.min_sinr / floor, slot.max_interference / bound
+
+
+def check_outage_closed_form(fracs, closed_form: float, seed: int) -> SuiteReport:
+    """Mean per-trial outage fraction within 3 SE of the closed form."""
+    fr = np.asarray(fracs)
+    se = float(fr.std(ddof=1) / math.sqrt(len(fr)))
+    gap = abs(float(fr.mean()) - closed_form)
+    return SuiteReport(
+        "outage_closed_form_match", gap <= 3.0 * se,
+        f"|empirical - closed-form| = {gap:.2e} vs 3 SE = {3 * se:.2e} "
+        f"(closed {closed_form:.6f}, empirical {fr.mean():.6f}, {len(fr)} realizations)",
+        len(fr), seed,
+    )
+
+
+def check_sinr_floor(trial_ratios, seed: int) -> SuiteReport:
+    """SINR/floor >= 1 and interference/ring bound <= 1 in every trial, given
+    the cluster_ratios of each, and the floor grows with the reuse factor K."""
+    ratios, i_ratios = np.asarray(trial_ratios, dtype=np.float64).T
+    violations = int(np.sum(ratios < 1.0))
+    i_violations = int(np.sum(i_ratios > 1.0))
+    phys = [PhyConfig(**{**DEFAULT_PHY, "K": k}) for k in (1, 2)]
+    k1, k2 = (sinr_floor(0.2, phy, phy.Pmax, phy.Pmax) for phy in phys)
+    within = f"above its bound in {i_violations}" if i_violations else "within its bound in all"
+    return SuiteReport(
+        "cluster_sinr_floor", violations == 0 and i_violations == 0 and k2 > k1,
+        f"{violations} floor violations over {len(ratios)} realizations "
+        f"(worst SINR/floor {float(ratios.min()):.3f}); interference {within} realizations "
+        f"(max ratio {float(i_ratios.max()):.3f}); "
+        f"floor(K=2)={k2:.4f} > floor(K=1)={k1:.4f}",
+        len(ratios), seed,
+    )
+
+
+def check_transport_slack(slacks, seed: int) -> SuiteReport:
+    """The transport-capacity bound holds on every schedule (slack >= 0)."""
+    slacks = np.asarray(slacks)
+    violations = int(np.sum(slacks < 0.0))
+    return SuiteReport(
+        "transport_capacity_bound", violations == 0,
+        f"{violations} bound violations over {len(slacks)} schedules "
+        f"(min slack {float(np.nanmin(slacks)):.4g})",
+        len(slacks), seed,
+    )
+
+
+def check_fixed_point(seed: int, n: int) -> SuiteReport:
+    """Scaled C1/C2 fixed-point residuals over n random inputs, and the
+    small-cluster asymptote C1 ~ sqrt(2/x) at x = 1e-4, 1e-6, 1e-8."""
+    rng = _rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        fp = analysis.solve_c1_c2(
+            float(rng.uniform(1e-3, 1e5)),
+            float(rng.uniform(0.0, 1e5)),
+            int(rng.integers(1, 12)),
+            float(rng.uniform(0.05, 3.0)),
+        )
+        worst = max(worst, abs(fp.residual) / max(1.0, fp.C1))
+    ratios = [  # C1 / sqrt(2/x) at C2 = 1/x
+        analysis.solve_c1_c2(1.0, 1.0 / x, 1, 1.0).C1 / (math.sqrt(2.0) * x**-0.5)
+        for x in (1e-4, 1e-6, 1e-8)
+    ]
+    ok = worst <= analysis.RESIDUAL_TOL and 0.99 <= ratios[1] <= 1.01
+    ok &= ratios[0] > ratios[1] > ratios[2] > 1.0
+    count = f"{n:.0e}".replace("e+0", "e")  # 10000 -> 1e4
+    return SuiteReport(
+        "fixed_point_and_small_cluster_asymptote", ok,
+        f"max scaled residual {worst:.2e} over {count} inputs; asymptote ratio at "
+        f"1e-6: {ratios[1]:.6f}; monotone {ratios[0]:.6f} > {ratios[1]:.6f} > {ratios[2]:.6f}",
+        n + 3, seed,
+    )
+
+
+def check_log_inequality(seed: int, n: int) -> SuiteReport:
+    """ln(1 + x^alpha) <= alpha*x for x > 0, alpha >= 1, over n draws."""
+    rng = _rng(seed)
+    x = rng.uniform(1e-12, 100.0, n)
+    a = rng.uniform(1.0, 8.0, n)
+    violations = int(np.sum(np.log1p(x**a) > a * x + 1e-12))
+    detail = f"{violations} violations over {n} draws"
+    return SuiteReport("log_power_inequality", violations == 0, detail, n, seed)
+
+
+def check_placement_marginals(policy, seed: int, n_draws: int) -> SuiteReport:
+    """Exact-S placement of n_draws caches: every row holds S distinct files,
+    and each file's count is within 4 binomial SDs of n_draws * Pc(f)."""
+    caches = caching.place_caches_batch(policy, _rng(seed), n_draws)
+    counts = np.bincount(caches.ravel(), minlength=policy.M + 1)[1:]
+    p = policy.probs
+    sd = np.sqrt(np.maximum(p * (1 - p), 1e-12) * n_draws)
+    z = np.abs(counts - n_draws * p) / np.maximum(sd, 1e-9)
+    exact_s = caches.shape == (n_draws, policy.cache_size)
+    distinct = exact_s and bool(np.all(np.diff(np.sort(caches, axis=1), axis=1) != 0))
+    return SuiteReport(
+        "placement_marginals", bool(np.all(z <= 4.0)) and distinct,
+        f"max |z| = {float(z.max()):.2f} over {policy.M} files; exact-S rows: {distinct}",
+        n_draws, seed,
+    )
+
+
+def cluster_outage_mc(model, policy, gc: float, n_draws: int, rng) -> tuple[float, float]:
+    """Poisson-occupancy cluster oracle: Poisson(gc) occupants cache by the
+    policy (file f is held by each one with probability Pc(f)), and a request
+    is in outage iff no occupant holds it. Returns (outage, its SE)."""
+    occupants = rng.poisson(gc, size=n_draws)
+    files = sample_request(model, rng, size=n_draws)
+    holders = rng.binomial(occupants, policy.probs[files - 1])
+    p = float((holders == 0).mean())
+    return p, math.sqrt(p * (1 - p) / n_draws)
+
+
+def hit_probability_curve(model, S: int, seed: int, n_draws: int) -> list[dict]:
+    """Small-cluster hit probability 1 - po_sec_gamma_lt1 at the occupancies
+    eps_rho * M / S, eps_rho = 2^-4 .. 2^-10, with the cluster oracle's outage,
+    its SE and its distance from the closed form in SEs at 2^-4, 2^-7, 2^-10."""
+    rng = _rng(seed)
+    rows = []
+    for k in range(4, 11):
+        er = 2.0**-k
+        gc = er * model.M / S
+        po = analysis.po_sec_gamma_lt1(gc, model, S)
+        row = {"eps_rho": er, "p_hit_closed_form": 1.0 - po}
+        if k in (4, 7, 10):
+            policy = caching.optimize_policy(model, S, gc)
+            p_mc, se = cluster_outage_mc(model, policy, gc, n_draws, rng)
+            row.update(p_out_mc=p_mc, mc_se=se, gap_in_se=abs(p_mc - po) / se)
+        rows.append(row)
+    return rows
 
 
 def _mini_trials(n_real: int, check_bounds: bool = False):
@@ -44,97 +187,32 @@ def _mini_trials(n_real: int, check_bounds: bool = False):
 
 
 def suite_log_inequality(n: int = 100_000) -> SuiteReport:
-    """ln(1 + x^alpha) <= alpha*x for x > 0, alpha >= 1."""
-    rng = np.random.Generator(np.random.PCG64(_SEED))
-    x = rng.uniform(1e-9, 100.0, n)
-    a = rng.uniform(1.0, 8.0, n)
-    viol = int(np.sum(np.log1p(x**a) > a * x + 1e-12))
-    return SuiteReport("log_power_inequality", viol == 0, f"{viol} violations", n, _SEED)
+    return check_log_inequality(_SEED, n)
 
 
 def suite_sinr_floor(n_real: int = 20) -> SuiteReport:
-    phy = _MINI.phy
     _, trials = _mini_trials(n_real)
-    floor_checked = 0
-    worst = math.inf
-    for res, _, _ in trials:
-        slot = res.slot("cluster")
-        floor = sinr_floor(slot.cluster_side, phy, phy.Pmax, phy.Pmax)
-        if slot.n_links:
-            worst = min(worst, slot.min_sinr / floor)
-            floor_checked += slot.n_links
-    mono = sinr_floor(0.2, phy, phy.Pmax, phy.Pmax)
-    phy_k2 = PhyConfig(**{**DEFAULT_PHY, "K": 2})
-    mono_ok = sinr_floor(0.2, phy_k2, phy_k2.Pmax, phy_k2.Pmax) > mono
-    ok = worst >= 1.0 and mono_ok
-    return SuiteReport(
-        "cluster_sinr_floor", ok,
-        f"min SINR/floor ratio {worst:.3g} over {floor_checked} links; "
-        f"floor monotone in K: {mono_ok}", floor_checked, _SEED,
-    )
+    return check_sinr_floor([cluster_ratios(res, _MINI.phy) for res, _, _ in trials], _SEED)
 
 
 def suite_transport_bound(n_real: int = 20) -> SuiteReport:
     _, trials = _mini_trials(n_real, check_bounds=True)
-    slacks = [slack for _, _, slack in trials]
-    n_viol = sum(slack < 0.0 for slack in slacks)  # the bound holds iff slack >= 0
-    return SuiteReport(
-        "transport_capacity_bound", n_viol == 0,
-        f"{n_viol} violations, min slack {min(slacks):.4g}", n_real, _SEED,
-    )
+    return check_transport_slack([slack for _, _, slack in trials], _SEED)
 
 
 def suite_outage_closed_form(n_real: int = 60) -> SuiteReport:
     inputs, trials = _mini_trials(n_real)
-    fracs = np.array([res.outage_fraction for res, _, _ in trials])
-    target = inputs.closed_form
-    se = float(fracs.std(ddof=1) / math.sqrt(len(fracs)))
-    gap = abs(float(fracs.mean()) - target)
-    ok = gap <= 3.0 * se
-    return SuiteReport(
-        "outage_closed_form_match", ok,
-        f"|empirical-closed| = {gap:.2e} vs 3SE = {3 * se:.2e}", n_real, _SEED,
-    )
+    fracs = [res.outage_fraction for res, _, _ in trials]
+    return check_outage_closed_form(fracs, inputs.closed_form, _SEED)
 
 
 def suite_fixed_point(n: int = 10_000) -> SuiteReport:
-    rng = np.random.Generator(np.random.PCG64(_SEED))
-    gc = rng.uniform(0.1, 1e4, n)
-    q = rng.uniform(0.0, 1e4, n)
-    gamma = rng.uniform(0.05, 3.0, n)
-    worst = 0.0
-    for i in range(n):
-        fp = analysis.solve_c1_c2(float(gc[i]), float(q[i]), 2, float(gamma[i]))
-        worst = max(worst, abs(fp.residual) / max(1.0, fp.C1))
-    ratios = []
-    for x in (1e-4, 1e-6, 1e-8):
-        fp = analysis.solve_c1_c2(1.0, 1.0 / x, 1, 1.0)  # C2 = 1/x
-        ratios.append(fp.C1 / (math.sqrt(2.0) * x**-0.5))
-    mono = ratios[0] > ratios[1] > ratios[2] > 1.0
-    ok = worst <= analysis.RESIDUAL_TOL and mono and abs(ratios[1] - 1.0) <= 0.01
-    return SuiteReport(
-        "fixed_point_and_small_cluster_asymptote", ok,
-        f"max residual {worst:.2e}; asymptote ratios {ratios[0]:.6f} > "
-        f"{ratios[1]:.6f} > {ratios[2]:.6f}", n + 3, _SEED,
-    )
+    return check_fixed_point(_SEED, n)
 
 
 def suite_placement_marginals(n_draws: int = 40_000) -> SuiteReport:
-    model = PopularityModel(M=20, gamma=0.8, q=2.0)
-    policy = caching.optimize_policy(model, 3, 12.0)
-    rng = np.random.Generator(np.random.PCG64(_SEED))
-    caches = caching.place_caches_batch(policy, rng, n_draws)
-    counts = np.bincount(caches.ravel(), minlength=model.M + 1)[1:]
-    p = policy.probs
-    sd = np.sqrt(np.maximum(p * (1 - p), 1e-12) * n_draws)
-    z = np.abs(counts - n_draws * p) / np.maximum(sd, 1e-9)
-    distinct = all(len(set(row)) == policy.cache_size for row in caches[:200].tolist())
-    ok = bool(np.all(z <= 4.0)) and distinct
-    return SuiteReport(
-        "placement_marginals", ok,
-        f"max |z| = {float(z.max()):.2f} over {model.M} files; exact-S rows: {distinct}",
-        n_draws, _SEED,
-    )
+    policy = caching.optimize_policy(PopularityModel(M=20, gamma=0.8, q=2.0), 3, 12.0)
+    return check_placement_marginals(policy, _SEED, n_draws)
 
 
 ALL_SUITES = (

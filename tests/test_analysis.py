@@ -16,7 +16,8 @@ from d2dcache.analysis import (
 from d2dcache.config import config_from_dict
 from d2dcache.regimes import REGIMES
 from d2dcache.caching import optimize_policy
-from d2dcache.popularity import PopularityModel, sample_request
+from d2dcache.popularity import PopularityModel
+from d2dcache.validate import cluster_outage_mc
 
 # C1 / (sqrt(2) * x^(-1/2)) at x = eps'*alpha1'/gamma in {1e-4, 1e-6, 1e-8},
 # frozen from an mpmath findroot run at 50 digits
@@ -82,24 +83,19 @@ def test_po_lt1_doubling_scaling():
     assert ratio == pytest.approx(2.0**0.4, rel=0.05)
 
 
+def _matches_cluster_oracle(m, formula, drivers, seed):
+    """The small-cluster formula within 3 SE of the Poisson-occupancy cluster
+    oracle at occupancies driver / S, S = 2."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for driver in drivers:
+        gc = driver / 2
+        p_mc, se = cluster_outage_mc(m, optimize_policy(m, 2, gc), gc, 100_000, rng)
+        assert abs(p_mc - formula(gc, m, 2)) <= 3.0 * se, f"gc={gc}: {p_mc}"
+
+
 def test_po_lt1_matches_cluster_monte_carlo():
-    """Poisson-occupancy cluster oracle: occupants cache by the optimized
-    policy (file-f inclusion is exactly Bernoulli(Pc(f)) per occupant), a
-    request hits iff some occupant holds it."""
     m = PopularityModel(M=200_000, gamma=0.6, q=50.0)
-    S = 2
-    rng = np.random.Generator(np.random.PCG64(424242))
-    for er in (2.0**-5, 2.0**-8):
-        gc = er * m.M / S
-        pol = optimize_policy(m, S, gc)
-        formula = po_sec_gamma_lt1(gc, m, S)
-        n_draws = 100_000
-        occupants = rng.poisson(gc, size=n_draws)
-        files = sample_request(m, rng, size=n_draws)
-        holders = rng.binomial(occupants, pol.probs[files - 1])
-        p_mc = float((holders == 0).mean())
-        se = math.sqrt(p_mc * (1.0 - p_mc) / n_draws)
-        assert abs(p_mc - formula) <= 3.0 * se, f"er={er}: {p_mc} vs {formula}"
+    _matches_cluster_oracle(m, po_sec_gamma_lt1, (2.0**-5 * m.M, 2.0**-8 * m.M), 424242)
 
 
 def test_po_gt1_in_range_and_warns_shallow():
@@ -130,19 +126,7 @@ def test_po_gt1_doubling_scaling():
 
 def test_po_gt1_matches_cluster_monte_carlo():
     m = PopularityModel(M=200_000, gamma=1.5, q=2000.0)
-    S = 2
-    rng = np.random.Generator(np.random.PCG64(31337))
-    for ea in (2.0**-9, 2.0**-10):
-        gc = ea * m.q / S
-        pol = optimize_policy(m, S, gc)
-        formula = po_sec_gamma_gt1(gc, m, S)
-        n_draws = 100_000
-        occupants = rng.poisson(gc, size=n_draws)
-        files = sample_request(m, rng, size=n_draws)
-        holders = rng.binomial(occupants, pol.probs[files - 1])
-        p_mc = float((holders == 0).mean())
-        se = math.sqrt(max(p_mc * (1.0 - p_mc), 1e-12) / n_draws)
-        assert abs(p_mc - formula) <= 3.0 * se, f"ea={ea}: {p_mc} vs {formula}"
+    _matches_cluster_oracle(m, po_sec_gamma_gt1, (2.0**-9 * m.q, 2.0**-10 * m.q), 31337)
 
 
 def test_predicted_exponents():
@@ -186,11 +170,6 @@ def test_fit_loglog_noisy_recovery():
     fit = fit_loglog(x, y)
     assert abs(fit.slope - 0.7) <= 3.0 * fit.slope_stderr
     assert fit.n_points == 10
-
-
-def test_fit_loglog_accepts_pair_sequence():
-    fit = fit_loglog([(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)])
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fit_loglog_errors():

@@ -12,6 +12,7 @@ from d2dcache.caching import (
     place_split_caches_batch,
 )
 from d2dcache.popularity import PopularityModel
+from d2dcache.validate import check_placement_marginals
 
 # Objective value of the optimum for M=4, S=1, gamma=0.8, q=0, g_c=10,
 # frozen from a projected grid search (5e-3 coarse pass plus two local
@@ -142,20 +143,9 @@ def test_placement_exact_size_and_forced_inclusion():
 
 
 def test_placement_marginals_match_probabilities():
-    m = PopularityModel(M=20, gamma=0.9, q=2.0)
-    pol = optimize_policy(m, 3, 15.0)
-    rng = np.random.Generator(np.random.PCG64(11))
-    n = 100_000
-    caches = place_caches_batch(pol, rng, n)
-    assert caches.shape == (n, 3)
-    # all rows distinct entries
-    srt = np.sort(caches, axis=1)
-    assert np.all(np.diff(srt, axis=1) != 0)
-    counts = np.bincount(caches.ravel(), minlength=21)[1:]
-    p = pol.probs
-    sd = np.sqrt(np.maximum(n * p * (1 - p), 1e-9))
-    z = np.abs(counts - n * p) / sd
-    assert float(z.max()) <= 4.0
+    policy = optimize_policy(PopularityModel(M=20, gamma=0.9, q=2.0), 3, 15.0)
+    report = check_placement_marginals(policy, 11, 100_000)
+    assert report.passed, report.detail
 
 
 def test_placement_against_poisson_cluster_outage():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,14 +79,13 @@ def test_estimate_index_symmetry():
 
 
 def test_transport_capacity_values():
-    rec = transport_capacity([0.1], [100.0])
-    assert rec.C_gamma == pytest.approx(10.0)
-    assert transport_capacity([], []).C_gamma == 0.0
+    assert transport_capacity([0.1], [100.0]) == pytest.approx(10.0)
+    assert transport_capacity([], []) == 0.0
     rng = np.random.Generator(np.random.PCG64(0))
     d, c = rng.random(30), rng.random(30)
     perm = rng.permutation(30)
-    assert transport_capacity(d, c).C_gamma == pytest.approx(
-        transport_capacity(d[perm], c[perm]).C_gamma, rel=1e-12
+    assert transport_capacity(d, c) == pytest.approx(
+        transport_capacity(d[perm], c[perm]), rel=1e-12
     )
     with pytest.raises(ValueError):
         transport_capacity([-0.1], [1.0])
@@ -132,12 +135,34 @@ def test_bound_holds_on_simulated_schedules(scheme):
         realization = build_realization(inputs.model, inputs.policy, N, 7100 + seed)
         res = run_scheme(realization, *inputs.sides, PHY, 1.0)
         assert len(res.slots) == 2 and all(s.n_links for s in res.slots)
-        record = transport_capacity(*res.transport_links())
-        check = check_transport_bound(res, PHY, r0, 0.1, record=record)
+        check = check_transport_bound(res, PHY, r0, 0.1)
         assert check.holds, f"seed {seed}: lhs={check.lhs} rhs={check.rhs}"
-        assert check.lhs == pytest.approx(record.C_gamma, rel=1e-9)
+        assert check.lhs == pytest.approx(transport_capacity(*res.transport_links()), rel=1e-9)
 
 
 def test_bound_argument_validation():
     with pytest.raises(ValueError):
         check_transport_bound(_synthetic_result([], []), PHY, R0=0.0, eps0=0.1)
+
+
+def test_reductions_do_not_depend_on_blas_threads():
+    """C_gamma and the closed-form outage are bit-equal under 1 and 2 BLAS
+    threads, so artifacts do not depend on the machine's core count."""
+    code = (
+        "import numpy as np; from types import SimpleNamespace as NS\n"
+        "from d2dcache.caching import closed_form_outage\n"
+        "from d2dcache.metrics import transport_capacity\n"
+        "a, b = np.random.Generator(np.random.PCG64(1)).random((2, 2_000_000))\n"
+        "print(repr(transport_capacity(a[:200_000], b[:200_000])))\n"
+        "print(repr(closed_form_outage(NS(M=a.size, probs=a), NS(M=a.size, pmf_table=b), 3.0)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": n},
+        ).stdout
+        for n in ("1", "2")
+    }
+    assert len(outs) == 1, outs

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -31,3 +37,45 @@ def test_suite_reports_carry_counts_and_seeds():
     assert report.passed
     assert report.n_checks == 1000
     assert report.seed is not None
+
+
+def _log_check(x, alpha, seed):
+    """check_log_inequality on the given draws instead of its generator's."""
+    draws = iter([np.asarray(x), np.asarray(alpha)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validate, "_rng", lambda s: SimpleNamespace(uniform=lambda *_: next(draws)))
+        return validate.check_log_inequality(seed, len(x))
+
+
+# mean 0.25, SE 0.0645: the closed forms 0.379 and 0.508 lie 2.0 and 4.0 SE away
+FRACS = [0.1, 0.2, 0.3, 0.4]
+
+
+@pytest.mark.parametrize("check, passing, failing, failure_text", [
+    (validate.check_outage_closed_form, (FRACS, 0.379), (FRACS, 0.508), "4 realizations"),
+    (validate.check_transport_slack, ([0.0, 3.0],), ([2.0, -1e-9, 5.0],),
+     "1 bound violations over 3 schedules"),
+    (validate.check_sinr_floor, ([(1.0, 0.2), (3.0, 1.0)],), ([(1.0, 0.2), (3.0, 1.01)],),
+     "interference above its bound in 1 realizations"),
+    # alpha < 1 lies outside the inequality's domain, so (0.01, 0.5) violates it
+    (_log_check, ([0.01, 50.0], [1.0, 8.0]), ([0.01, 50.0], [0.5, 8.0]),
+     "1 violations over 2 draws"),
+], ids=["outage", "transport_slack", "sinr_floor", "log_inequality"])
+def test_checks_fail_across_their_threshold(check, passing, failing, failure_text):
+    assert check(*passing, 0).passed
+    report = check(*failing, 0)
+    assert not report.passed
+    assert failure_text in report.detail
+
+
+def test_hit_probability_script_smoke(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "hit_probability_curve.py"),
+         "--M", "20000", "--draws", "5000", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "hit_probability.csv").read_text().splitlines()
+    assert len(rows) == 1 + 7  # header, one row per eps*rho = 2^-4 .. 2^-10
