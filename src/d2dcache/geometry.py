@@ -137,45 +137,58 @@ def _nearest_candidate_links(
     cell_id: np.ndarray,
     n_cells: int,
 ):
-    """Vectorized nearest same-cell cached-copy search.
+    """Vectorized nearest same-cell cached-copy search, linear in the candidates.
 
-    Builds an inverted (file, cell) -> users index over the cache columns and
-    resolves every user's request against it. Ties on distance break toward
-    the lowest candidate user index.
+    One sort of the composite key ((file, cell), holder) builds the inverted
+    (file, cell) -> holders index with the holders ascending inside each key
+    run. The requests, sorted by ((file, cell), user), are resolved against
+    the runs by one searchsorted, and each request takes the first candidate
+    at its exact minimum distance, so ties break toward the lowest candidate
+    user index. The links come back in ascending rx order.
     """
     n = len(positions)
     s = cache_cols.shape[1]
+    n_keys = max(int(cache_cols.max(initial=0)), int(requests.max(initial=0))) + 1
+    if n_keys * n_cells * n > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"pairing key (file, cell, user) overflows int64 for N={n} users "
+            f"and {n_cells} cells"
+        )
     owner = np.repeat(np.arange(n, dtype=np.int64), s)
     key = cache_cols.astype(np.int64).ravel() * n_cells + cell_id[owner]
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    sowner = owner[order]
+    skey, sowner = np.divmod(np.sort(key * n + owner), n)
+    run_start = np.flatnonzero(np.diff(skey, prepend=-1))
+    run_key = skey[run_start]
+    run_len = np.diff(np.append(run_start, len(skey)))
 
-    qkey = requests.astype(np.int64) * n_cells + cell_id
-    lo = np.searchsorted(skey, qkey, side="left")
-    hi = np.searchsorted(skey, qkey, side="right")
-    counts = hi - lo
-    outage = counts == 0
-
-    served = np.nonzero(~outage)[0]
-    c_served = counts[served]
-    total = int(c_served.sum())
-    if total == 0:
+    qkey, quser = np.divmod(
+        np.sort((requests.astype(np.int64) * n_cells + cell_id) * n + np.arange(n)), n
+    )
+    run = np.minimum(np.searchsorted(run_key, qkey), len(run_key) - 1)
+    hit = np.flatnonzero(run_key[run] == qkey)
+    if len(hit) == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0), outage
+        return empty, empty, np.empty(0), np.ones(n, dtype=bool)
 
-    rx_rep = np.repeat(served, c_served)
-    starts = np.concatenate(([0], np.cumsum(c_served)[:-1]))
-    offs = np.arange(total, dtype=np.int64) - np.repeat(starts, c_served)
-    cand = sowner[np.repeat(lo[served], c_served) + offs]
-
-    diff = positions[cand] - positions[rx_rep]
-    d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    # group-wise argmin with (distance, candidate index) ordering; groups are
-    # already contiguous so only intra-group order needs fixing
-    pick = np.lexsort((cand, d2, rx_rep))
-    first = pick[starts]
-    return cand[first], served, np.sqrt(d2[first]), outage
+    rx, run = quser[hit], run[hit]
+    c = run_len[run]
+    starts = np.cumsum(c) - c
+    total = int(starts[-1] + c[-1])
+    cand = sowner[np.repeat(run_start[run] - starts, c) + np.arange(total)]
+    rx_rep = np.repeat(rx, c)
+    x, y = positions[:, 0].copy(), positions[:, 1].copy()
+    d2 = (x[cand] - x[rx_rep]) ** 2 + (y[cand] - y[rx_rep]) ** 2
+    # segmented argmin: each request's candidates are contiguous and ascend
+    # in user index, so the first one at the exact minimum is the tie winner
+    best = np.minimum.reduceat(d2, starts)
+    at_best = np.where(d2 == np.repeat(best, c), np.arange(total), total)
+    tx = np.full(n, -1, dtype=np.int64)
+    tx[rx] = cand[np.minimum.reduceat(at_best, starts)]
+    dist = np.empty(n)
+    dist[rx] = np.sqrt(best)
+    outage = tx < 0
+    served = np.flatnonzero(~outage)
+    return tx[served], served, dist[served], outage
 
 
 def pair_within_clusters(

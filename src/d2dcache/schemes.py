@@ -117,28 +117,46 @@ class SchemeResult:
         return d, bits / self.T_prime
 
 
-def _ordered_pairs_within_groups(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered (victim, interferer) index pairs inside contiguous groups.
+def _cochannel_interference(
+    positions: np.ndarray,
+    tx: np.ndarray,
+    rx: np.ndarray,
+    sizes: np.ndarray,
+    phy: PhyConfig,
+) -> np.ndarray:
+    """Interference at every row's receiver from the other transmitters of its
+    group; the groups are contiguous runs of rows of the given sizes.
 
-    sizes are group lengths over a flat array of sum(sizes) rows; returns
-    global row indices (i, j), i != j, j in i's group.
+    The groups are laid out by descending size, so the groups larger than j
+    are a prefix of the layout, and pass j adds the j-th transmitter of each
+    of them to that group's other receivers. Memory stays linear in the rows,
+    and every receiver sums its interferers in ascending row order from 0.0.
     """
-    sizes = sizes.astype(np.int64)
-    n_pairs = sizes * (sizes - 1)
-    total = int(n_pairs.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    pair_group = np.repeat(np.arange(len(sizes)), n_pairs)
-    pair_start = np.concatenate(([0], np.cumsum(n_pairs)[:-1]))
-    p_local = np.arange(total, dtype=np.int64) - np.repeat(pair_start, n_pairs)
-    n_of = np.repeat(sizes, n_pairs)
-    i_local = p_local // (n_of - 1)
-    j_local = p_local % (n_of - 1)
-    j_local += j_local >= i_local
-    base = np.repeat(starts, n_pairs)
-    return base + i_local, base + j_local
+    by_size = np.argsort(-sizes, kind="stable")
+    lay_sizes = sizes[by_size]
+    lay_ends = np.cumsum(lay_sizes)
+    lay_starts = lay_ends - lay_sizes
+    local = np.arange(lay_ends[-1]) - np.repeat(lay_starts, lay_sizes)
+    rows = np.repeat((np.cumsum(sizes) - sizes)[by_size], lay_sizes) + local
+    tx_rows, rx_rows = tx[rows], rx[rows]
+    txx, txy = positions[tx_rows, 0], positions[tx_rows, 1]
+    rxx, rxy = positions[rx_rows, 0], positions[rx_rows, 1]
+    # groups in pass j: those of more than max(j, 1) links
+    n_groups = np.searchsorted(-lay_sizes, -np.maximum(np.arange(lay_sizes[0]), 1))
+    interference = np.zeros(len(rows))
+    for j, m in enumerate(n_groups.tolist()):
+        if m == 0:
+            break
+        r = lay_ends[m - 1]
+        src = lay_starts[:m] + j
+        victim = local[:r] != j
+        dx = (np.repeat(txx[src], lay_sizes[:m]) - rxx[:r])[victim]
+        dy = (np.repeat(txy[src], lay_sizes[:m]) - rxy[:r])[victim]
+        received = interference[:r]
+        received[victim] += phy.Pmax * path_gain(np.hypot(dx, dy), phy)
+    out = np.empty(len(rows))
+    out[rows] = interference
+    return out
 
 
 def _clustered_bits(
@@ -166,8 +184,8 @@ def _clustered_bits(
             np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), 0.0, bw, grid.side,
         )
 
-    # round index = rank of the link inside its cluster, deterministic rx order
-    order = np.lexsort((pairing.rx, pairing.cell))
+    # round index = rank of the link inside its cluster; rx already ascends
+    order = np.argsort(pairing.cell, kind="stable")
     cell_sorted = pairing.cell[order]
     boundaries = np.concatenate(([0], np.nonzero(np.diff(cell_sorted))[0] + 1))
     counts = np.diff(np.concatenate((boundaries, [L])))
@@ -184,23 +202,16 @@ def _clustered_bits(
     g_key = res_key[g_order]
     g_bound = np.concatenate(([0], np.nonzero(np.diff(g_key))[0] + 1))
     g_sizes = np.diff(np.concatenate((g_bound, [L])))
-    vic, intf = _ordered_pairs_within_groups(g_sizes)
 
     link_idx = order[g_order]  # grouped order -> original pairing rows
     tx_g = pairing.tx[link_idx]
     rx_g = pairing.rx[link_idx]
-    pos = realization.positions
-    interference = np.zeros(L)
-    if len(vic):
-        dx = pos[tx_g[intf], 0] - pos[rx_g[vic], 0]
-        dy = pos[tx_g[intf], 1] - pos[rx_g[vic], 1]
-        w = phy.Pmax * path_gain(np.hypot(dx, dy), phy)
-        interference = np.bincount(vic, weights=w, minlength=L)
+    interference = _cochannel_interference(realization.positions, tx_g, rx_g, g_sizes, phy)
 
     gain = path_gain(pairing.distance[link_idx], phy)
     sinr = phy.Pmax * gain / (bw * phy.N0 + interference)
     rate = bw * np.log2(1.0 + phy.effective_sinr(sinr))
-    np.add.at(bits, rx_g, rate * airtime)
+    bits[rx_g] = rate * airtime  # a user holds at most one link per slot
 
     return SlotResult(
         label=label,

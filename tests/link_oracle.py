@@ -1,6 +1,6 @@
-"""Scalar reference for link rates: one link at a time, interference summed in
-a Python loop. The vectorized co-channel path in d2dcache.schemes is checked
-against it."""
+"""Scalar references: link rates one link at a time with interference summed
+in a Python loop, and the all-pairs co-channel interference. The vectorized
+co-channel path in d2dcache.schemes is checked against both."""
 
 from __future__ import annotations
 
@@ -62,3 +62,41 @@ def link_rate(
     noise = subchannel_bandwidth * cfg.N0
     sinr = float(cfg.effective_sinr(signal / (noise + interference)))
     return subchannel_bandwidth * math.log2(1.0 + sinr)
+
+
+def ordered_pairs_within_groups(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All ordered (victim, interferer) index pairs inside contiguous groups.
+
+    sizes are group lengths over a flat array of sum(sizes) rows; returns
+    global row indices (i, j), i != j, j in i's group, i-major.
+    """
+    sizes = sizes.astype(np.int64)
+    n_pairs = sizes * (sizes - 1)
+    total = int(n_pairs.sum())
+    if total == 0:
+        e = np.empty(0, dtype=np.int64)
+        return e, e
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    pair_group = np.repeat(np.arange(len(sizes)), n_pairs)
+    pair_start = np.concatenate(([0], np.cumsum(n_pairs)[:-1]))
+    p_local = np.arange(total, dtype=np.int64) - np.repeat(pair_start, n_pairs)
+    n_of = np.repeat(sizes, n_pairs)
+    i_local = p_local // (n_of - 1)
+    j_local = p_local % (n_of - 1)
+    j_local += j_local >= i_local
+    base = np.repeat(starts, n_pairs)
+    return base + i_local, base + j_local
+
+
+def all_pairs_interference(
+    tx_pos: np.ndarray, rx_pos: np.ndarray, sizes: np.ndarray, cfg: PhyConfig
+) -> np.ndarray:
+    """Co-channel interference at every row from every ordered pair of its
+    group at once, summed by bincount: O(sum sizes^2) memory."""
+    vic, intf = ordered_pairs_within_groups(sizes)
+    if not len(vic):
+        return np.zeros(len(rx_pos))
+    dx = tx_pos[intf, 0] - rx_pos[vic, 0]
+    dy = tx_pos[intf, 1] - rx_pos[vic, 1]
+    w = cfg.Pmax * path_gain(np.hypot(dx, dy), cfg)
+    return np.bincount(vic, weights=w, minlength=len(rx_pos))

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from d2dcache.caching import optimize_policy
 from d2dcache.geometry import (
+    NetworkRealization,
+    _nearest_candidate_links,
     build_grid,
     build_realization,
     grid_from_target_side,
@@ -83,6 +87,9 @@ def test_reuse_color_cochannel_separation():
 
 
 def _brute_force_pairing(realization, grid):
+    """Nearest same-cell holder of every request by a loop over all users:
+    (distance, user) of the smallest (dx*dx + dy*dy, user), the squared
+    distance in the floating-point form the vectorized search compares."""
     n = realization.n_users
     tx = {}
     for u in range(n):
@@ -92,11 +99,11 @@ def _brute_force_pairing(realization, grid):
                 continue
             if realization.requests[u] not in realization.cache_set(v):
                 continue
-            d = float(np.hypot(*(realization.positions[v] - realization.positions[u])))
-            if best is None or (d, v) < best:
-                best = (d, v)
+            dx, dy = (realization.positions[v] - realization.positions[u]).tolist()
+            if best is None or (dx * dx + dy * dy, v) < best:
+                best = (dx * dx + dy * dy, v)
         if best is not None:
-            tx[u] = best
+            tx[u] = (np.sqrt(best[0]), best[1])
     return tx
 
 
@@ -133,3 +140,60 @@ def test_pairing_respects_cells_and_link_bound():
         assert realization.requests[rx] in realization.cache_set(int(tx))
     # each served user has exactly one inbound link
     assert len(np.unique(outcome.rx)) == outcome.n_links
+
+
+def _realization(positions, requests, caches):
+    return NetworkRealization(
+        positions=np.asarray(positions, dtype=np.float64),
+        requests=np.asarray(requests, dtype=np.int64),
+        caches=np.asarray(caches, dtype=np.int64),
+        seed=0,
+    )
+
+
+def test_pairing_ties_go_to_lowest_index():
+    # user 0 requests file 1 from mirrored holders 3 and 1 at equal distance;
+    # user 2 requests file 2 from co-located holders 4 and 5; user 6's nearest
+    # holder (7) has a higher index than a farther one (1); nobody holds file 9
+    realization = _realization(
+        [[0.5, 0.5], [0.75, 0.5], [0.1, 0.9], [0.25, 0.5], [0.3, 0.7], [0.3, 0.7],
+         [0.9, 0.1], [0.9, 0.15]],
+        [1, 9, 2, 9, 9, 9, 1, 9],
+        [[3], [1], [3], [1], [2], [2], [3], [1]],
+    )
+    outcome = pair_within_clusters(realization, build_grid(1, realization.positions))
+    assert outcome.rx.tolist() == [0, 2, 6]
+    assert outcome.tx.tolist() == [1, 4, 7]
+    assert outcome.distance[0] == 0.25
+    assert outcome.outage_flags.tolist() == [False, True, False, True, True, True, False, True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 150),
+    M=st.integers(1, 4),
+    S=st.integers(1, 3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(N=150, M=1, S=1, k=1, seed=0)  # one run of 150 candidates per request
+def test_pairing_matches_oracle_on_lattice(N, M, S, k, seed):
+    # positions on a 5 x 5 lattice of exact binary fractions: distance ties and
+    # co-located holders are common, and so are long candidate runs
+    rng = np.random.default_rng(seed)
+    realization = _realization(
+        rng.integers(0, 5, (N, 2)) / 4.0, rng.integers(1, M + 1, N), rng.integers(1, M + 1, (N, S))
+    )
+    grid = build_grid(k, realization.positions)
+    outcome = pair_within_clusters(realization, grid)
+    brute = _brute_force_pairing(realization, grid)
+    assert outcome.rx.tolist() == sorted(brute)
+    assert outcome.tx.tolist() == [brute[u][1] for u in sorted(brute)]
+    assert outcome.distance.tolist() == [brute[u][0] for u in sorted(brute)]
+
+
+def test_pairing_key_overflow_is_an_error():
+    pos = np.array([[0.1, 0.1], [0.2, 0.2]])
+    one = np.ones(2, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"N=2 users and 4611686018427387904 cells"):
+        _nearest_candidate_links(pos, one, one[:, None], np.zeros(2, dtype=np.int64), 2**62)

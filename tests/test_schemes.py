@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,14 +9,21 @@ from hypothesis import strategies as st
 
 from d2dcache.caching import build_split_policy, closed_form_outage, optimize_policy
 from d2dcache.config import DEFAULT_PHY, ExperimentConfig
-from d2dcache.geometry import build_grid, build_realization, pair_within_clusters
+from d2dcache.geometry import (
+    ClusterGrid,
+    NetworkRealization,
+    PairingOutcome,
+    build_grid,
+    build_realization,
+    pair_within_clusters,
+)
 from d2dcache.phy import PhyConfig, sinr_floor
 from d2dcache.popularity import PopularityModel
 from d2dcache.regimes import REGIMES
 from d2dcache.runner import build_point_inputs
 from d2dcache.schemes import _clustered_bits, run_scenario1, run_scenario2
 from d2dcache.validate import check_outage_closed_form, cluster_ratios
-from link_oracle import ActiveLink, ActiveSet, link_rate
+from link_oracle import ActiveLink, ActiveSet, all_pairs_interference, link_rate
 
 PHY = PhyConfig(**DEFAULT_PHY)
 
@@ -254,3 +262,86 @@ def test_clustered_rates_match_scalar_oracle(N, M, S, k, K, chi, ceiling, seed):
         for link, row in zip(aset.links, rows):
             expect = link_rate(link, aset, phy, slot.bandwidth)
             assert slot.link_rate[row] == pytest.approx(expect, rel=1e-9)
+
+
+def _synthetic_slot(counts, k, seed):
+    """A k x k grid with counts[c] links in cell c, delivered as one clustered
+    slot. Receiver i and transmitter L + i of link i lie uniformly in its cell;
+    the cells are shuffled over the links, so rx order is not cell order."""
+    rng = np.random.default_rng(seed)
+    cell = rng.permutation(np.repeat(np.arange(k * k), counts))
+    L = len(cell)
+
+    def in_cell():
+        return np.column_stack(((cell // k + rng.random(L)) / k, (cell % k + rng.random(L)) / k))
+
+    rx_pos, tx_pos = in_cell(), in_cell()
+    users = np.concatenate([cell, cell])
+    realization = NetworkRealization(
+        positions=np.concatenate([rx_pos, tx_pos]),
+        requests=np.ones(2 * L, dtype=np.int64),
+        caches=np.ones((2 * L, 1), dtype=np.int64),
+        seed=seed,
+    )
+    pairing = PairingOutcome(
+        tx=np.arange(L, 2 * L), rx=np.arange(L),
+        distance=np.hypot(*(tx_pos - rx_pos).T), file=np.ones(L, dtype=np.int64),
+        cell=cell, outage_flags=np.arange(2 * L) >= L,
+    )
+    grid = ClusterGrid(k=k, cell_id=users)
+    return realization, _clustered_bits(realization, pairing, grid, PHY, 0.5, "cluster")
+
+
+def _cell_counts(pattern, k, c, seed):
+    """Links per cell of a k x k grid (k a multiple of 4, so each of the 16
+    colours of K = 1 has (k/4)^2 cells)."""
+    rng = np.random.default_rng(seed)
+    cx, cy = np.divmod(np.arange(k * k), k)
+    first = (cx < 4) & (cy < 4)  # one cell of every colour
+    if pattern == "random":
+        return rng.integers(0, c + 2, k * k)
+    if pattern == "equal":
+        return np.full(k * k, c)
+    if pattern == "singles":
+        return np.where(first, rng.integers(1, c + 2, k * k), 0)
+    # dominant: colour 0 fills all of its cells once, the others one cell each
+    return np.where((cx % 4 == 0) & (cy % 4 == 0), 1, np.where(first, c, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pattern=st.sampled_from(["random", "equal", "singles", "dominant"]),
+    k=st.sampled_from([4, 8, 12, 20]),
+    c=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interference_equals_all_pairs_reference(pattern, k, c, seed):
+    # the pass-wise sums are bit-equal to the all-pairs bincount
+    realization, slot = _synthetic_slot(_cell_counts(pattern, k, c, seed), k, seed)
+    sizes = np.diff(np.flatnonzero(np.diff(slot.link_res, prepend=-1, append=-1)))
+    if pattern == "singles":
+        assert sizes.max() == 1
+    if pattern == "equal":
+        assert len(set(sizes.tolist())) == 1
+    if pattern == "dominant":
+        assert sizes.max() == (k // 4) ** 2 and (k == 4 or sorted(sizes)[-2] <= 2)
+    pos = realization.positions
+    tx = slot.link_rx + slot.n_links
+    expect = all_pairs_interference(pos[tx], pos[slot.link_rx], sizes, PHY)
+    assert np.array_equal(slot.link_interference, expect)
+
+
+def test_interference_memory_is_linear_in_links():
+    # one co-channel group of 45^2 = 2025 links: all ordered pairs would be
+    # 4.1 M rows of several arrays, hundreds of MB
+    k = 180
+    cx, cy = np.divmod(np.arange(k * k), k)
+    counts = ((cx % 4 == 0) & (cy % 4 == 0)).astype(np.int64)
+    tracemalloc.start()
+    try:
+        _, slot = _synthetic_slot(counts, k, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(np.unique(slot.link_res)) == 1 and slot.n_links == 2025
+    assert peak <= 4 * 2**20
