@@ -142,6 +142,24 @@ def closed_form_outage(policy: CachingPolicy, model: PopularityModel, g_c: float
     return float(np.add.reduce(model.pmf_table * np.exp(-g_c * policy.probs)))
 
 
+def finite_n_outage(policy: CachingPolicy, model: PopularityModel, N: int, n_cells: int) -> float:
+    """Outage of one of exactly N uniform users on n_cells equal cells, served
+    by any same-cell user that caches its request, itself included:
+
+        sum_f P(f) * (1 - Pc(f)) * (1 - Pc(f)/n_cells)^(N-1)
+
+    with the power taken through log1p. closed_form_outage is its Poisson
+    counterpart."""
+    if policy.M != model.M:
+        raise ValueError(
+            f"policy covers {policy.M} files but the model has {model.M}"
+        )
+    pc = policy.probs
+    with np.errstate(divide="ignore"):  # Pc = 1 on a single cell: no miss
+        others_miss = np.exp((N - 1) * np.log1p(-pc / n_cells)) if N > 1 else 1.0
+    return float(np.add.reduce(model.pmf_table * (1.0 - pc) * others_miss))
+
+
 def _interval_partition(probs: np.ndarray, S: int, offsets: np.ndarray) -> np.ndarray:
     """Exact-S placement: lay the M probabilities end to end on a segment of
     length S and pick the S files whose intervals contain u, u+1, ..., u+S-1.

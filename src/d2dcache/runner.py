@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, caching, metrics, schemes
 from .config import ExperimentConfig, config_to_dict, sweep_points, swept_param_names
-from .geometry import build_realization
+from .geometry import build_realization, grid_from_target_side
 from .popularity import PopularityModel
 from .regimes import REGIMES
 
@@ -61,7 +61,10 @@ class PointInputs:
     """What every trial of a point shares, all derived from one regime record.
 
     sides holds the target cluster side of each clustered slot: sqrt(occupancy
-    / N), then sqrt(epsilon) times that for slot 2 of scenario 2.
+    / N), then sqrt(epsilon) times that for slot 2 of scenario 2. closed_form
+    is the outage the simulation estimates for scenario 1 (exactly N users on
+    the trial's grid, self-service included) and the Poisson cluster outage
+    of slot 1 for scenario 2.
     """
 
     model: PopularityModel
@@ -92,7 +95,8 @@ def build_point_inputs(cfg: ExperimentConfig) -> PointInputs:
     else:
         sides = (side,)
         policy = caching.optimize_policy(model, cfg.S, occupancy)
-        closed_form = caching.closed_form_outage(policy, model, occupancy)
+        n_cells = grid_from_target_side(side) ** 2
+        closed_form = caching.finite_n_outage(policy, model, cfg.N, n_cells)
     return PointInputs(model, policy, occupancy, sides, epsilon, closed_form)
 
 

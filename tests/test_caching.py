@@ -7,6 +7,7 @@ from d2dcache.caching import (
     CachingPolicy,
     build_split_policy,
     closed_form_outage,
+    finite_n_outage,
     optimize_policy,
     place_caches_batch,
     place_split_caches_batch,
@@ -130,6 +131,24 @@ def test_closed_form_dimension_mismatch():
     pol = CachingPolicy(np.full(4, 0.5), 2)
     with pytest.raises(ValueError):
         closed_form_outage(pol, m, 3.0)
+
+
+def test_finite_n_outage_values():
+    # uniform policy: every file misses with (1 - S/M) * (1 - S/(M*cells))^(N-1)
+    m = PopularityModel(M=40, gamma=0.6, q=3.0)
+    pol = CachingPolicy(np.full(40, 4 / 40), 4)
+    expect = 0.9 * (1.0 - 0.1 / 25) ** 4999
+    assert finite_n_outage(pol, m, 5000, 25) == pytest.approx(expect, rel=1e-12)
+    # a lone user is served only by itself
+    assert finite_n_outage(pol, m, 1, 25) == pytest.approx(0.9, rel=1e-15)
+    # a file every user caches, on a single cell, never misses
+    full = CachingPolicy(np.ones(5), 5)
+    m5 = PopularityModel(M=5, gamma=1.0, q=0.0)
+    with np.errstate(all="raise"):
+        assert finite_n_outage(full, m5, 7, 1) == 0.0
+        assert finite_n_outage(full, m5, 1, 1) == 0.0
+    with pytest.raises(ValueError):
+        finite_n_outage(pol, m5, 10, 4)
 
 
 def test_placement_exact_size_and_forced_inclusion():

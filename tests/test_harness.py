@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from d2dcache.analysis import fit_loglog
-from d2dcache.caching import closed_form_outage, optimize_policy
+from d2dcache.caching import closed_form_outage, finite_n_outage, optimize_policy
 from d2dcache.cli import main
 from d2dcache.config import (
     ExperimentConfig,
@@ -155,7 +155,8 @@ def test_point_inputs_share_one_occupancy(regime, scheme, over):
     else:
         solved = optimize_policy(inputs.model, cfg.S, occupancy)
         assert np.array_equal(inputs.policy.probs, solved.probs)
-        closed = closed_form_outage(solved, inputs.model, occupancy)
+        # the simulated model: exactly N users on the trial's grid
+        closed = finite_n_outage(solved, inputs.model, cfg.N, grid_from_target_side(side) ** 2)
         assert inputs.sides == (side,)
     assert inputs.closed_form == closed
     # the trial's grids are built from exactly these sides

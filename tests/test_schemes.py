@@ -20,7 +20,7 @@ from d2dcache.geometry import (
 from d2dcache.phy import PhyConfig, sinr_floor
 from d2dcache.popularity import PopularityModel
 from d2dcache.regimes import REGIMES
-from d2dcache.runner import build_point_inputs
+from d2dcache.runner import build_point_inputs, run_trials
 from d2dcache.schemes import _clustered_bits, run_scenario1, run_scenario2
 from d2dcache.validate import check_outage_closed_form, cluster_ratios
 from link_oracle import ActiveLink, ActiveSet, all_pairs_interference, link_rate
@@ -106,6 +106,17 @@ def test_scenario1_outage_matches_closed_form_small():
         for t in range(60)
     ]
     assert check_outage_closed_form(fracs, target, 600).passed
+
+
+def test_scenario1_outage_matches_finite_n_closed_form():
+    # the runner's scenario-1 closed form is the outage of exactly N users on
+    # the trial's grid, self-service included; it lies below the Poisson form
+    cfg = _config(N=5000, M=100, S=2, q=10.0, rho_or_alpha1=4.0, n_realizations=300,
+                  base_seed=600, threads=2)
+    inputs = build_point_inputs(cfg)
+    assert inputs.closed_form < closed_form_outage(inputs.policy, inputs.model, inputs.occupancy)
+    fracs = [res.outage_fraction for res, _, _ in run_trials(cfg, inputs)]
+    assert check_outage_closed_form(fracs, inputs.closed_form, cfg.base_seed).passed
 
 
 def test_scenario1_equal_service_per_cycle():
