@@ -176,8 +176,9 @@ def _nearest_candidate_links(
     total = int(starts[-1] + c[-1])
     cand = sowner[np.repeat(run_start[run] - starts, c) + np.arange(total)]
     rx_rep = np.repeat(rx, c)
-    x, y = positions[:, 0].copy(), positions[:, 1].copy()
-    d2 = (x[cand] - x[rx_rep]) ** 2 + (y[cand] - y[rx_rep]) ** 2
+    dx = positions[cand, 0] - positions[rx_rep, 0]
+    dy = positions[cand, 1] - positions[rx_rep, 1]
+    d2 = dx**2 + dy**2
     # segmented argmin: each request's candidates are contiguous and ascend
     # in user index, so the first one at the exact minimum is the tie winner
     best = np.minimum.reduceat(d2, starts)
