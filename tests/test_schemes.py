@@ -95,20 +95,6 @@ def test_single_user_tdma_degenerate():
 
 
 def test_scenario1_outage_matches_closed_form_small():
-    m = PopularityModel(M=100, gamma=0.6, q=10.0)
-    S, N, rho = 2, 5000, 4.0
-    g_c = rho * m.M / S
-    policy = optimize_policy(m, S, g_c)
-    target = closed_form_outage(policy, m, g_c)
-    side = _side(m, S, N, rho)
-    fracs = [
-        run_scenario1(build_realization(m, policy, N, 600 + t), side, PHY, 1.0).outage_fraction
-        for t in range(60)
-    ]
-    assert check_outage_closed_form(fracs, target, 600).passed
-
-
-def test_scenario1_outage_matches_finite_n_closed_form():
     # the runner's scenario-1 closed form is the outage of exactly N users on
     # the trial's grid, self-service included; it lies below the Poisson form
     cfg = _config(N=5000, M=100, S=2, q=10.0, rho_or_alpha1=4.0, n_realizations=300,
