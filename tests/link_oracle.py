@@ -77,7 +77,6 @@ def ordered_pairs_within_groups(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarr
         e = np.empty(0, dtype=np.int64)
         return e, e
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    pair_group = np.repeat(np.arange(len(sizes)), n_pairs)
     pair_start = np.concatenate(([0], np.cumsum(n_pairs)[:-1]))
     p_local = np.arange(total, dtype=np.int64) - np.repeat(pair_start, n_pairs)
     n_of = np.repeat(sizes, n_pairs)
