@@ -130,6 +130,14 @@ def n_reuse_colors(K: int) -> int:
     return (2 * (K + 1)) ** 2
 
 
+def segment_ids(starts: np.ndarray, total: int) -> np.ndarray:
+    """Segment index of every row of `total` rows cut into non-empty
+    contiguous segments at `starts`: np.repeat(arange, sizes) by a cumulative
+    sum, which, unlike np.repeat or an in-place cumsum, runs without holding
+    the GIL."""
+    return np.cumsum(np.bincount(starts[1:], minlength=total))
+
+
 def _nearest_candidate_links(
     positions: np.ndarray,
     requests: np.ndarray,
@@ -147,22 +155,24 @@ def _nearest_candidate_links(
     user index. The links come back in ascending rx order.
     """
     n = len(positions)
-    s = cache_cols.shape[1]
     n_keys = max(int(cache_cols.max(initial=0)), int(requests.max(initial=0))) + 1
     if n_keys * n_cells * n > np.iinfo(np.int64).max:
         raise ValueError(
             f"pairing key (file, cell, user) overflows int64 for N={n} users "
             f"and {n_cells} cells"
         )
-    owner = np.repeat(np.arange(n, dtype=np.int64), s)
-    key = cache_cols.astype(np.int64).ravel() * n_cells + cell_id[owner]
-    skey, sowner = np.divmod(np.sort(key * n + owner), n)
+    users = np.arange(n, dtype=np.int64)
+    held = cache_cols.astype(np.int64) * n_cells
+    held += cell_id[:, None]
+    held *= n
+    held += users[:, None]
+    skey, sowner = np.divmod(np.sort(held, axis=None), n)
     run_start = np.flatnonzero(np.diff(skey, prepend=-1))
     run_key = skey[run_start]
     run_len = np.diff(np.append(run_start, len(skey)))
 
     qkey, quser = np.divmod(
-        np.sort((requests.astype(np.int64) * n_cells + cell_id) * n + np.arange(n)), n
+        np.sort((requests.astype(np.int64) * n_cells + cell_id) * n + users), n
     )
     run = np.minimum(np.searchsorted(run_key, qkey), len(run_key) - 1)
     hit = np.flatnonzero(run_key[run] == qkey)
@@ -174,17 +184,24 @@ def _nearest_candidate_links(
     c = run_len[run]
     starts = np.cumsum(c) - c
     total = int(starts[-1] + c[-1])
-    cand = sowner[np.repeat(run_start[run] - starts, c) + np.arange(total)]
-    rx_rep = np.repeat(rx, c)
-    dx = positions[cand, 0] - positions[rx_rep, 0]
-    dy = positions[cand, 1] - positions[rx_rep, 1]
-    d2 = dx**2 + dy**2
+    # candidate row i belongs to request seg[i] and is holder row hold[i]
+    seg = segment_ids(starts, total)
+    row = np.arange(total)
+    hold = (run_start[run] - starts)[seg]
+    hold += row
+    d2 = positions[sowner, 0][hold]
+    d2 -= positions[rx, 0][seg]
+    np.square(d2, out=d2)
+    dy = positions[sowner, 1][hold]
+    dy -= positions[rx, 1][seg]
+    np.square(dy, out=dy)
+    d2 += dy
     # segmented argmin: each request's candidates are contiguous and ascend
     # in user index, so the first one at the exact minimum is the tie winner
     best = np.minimum.reduceat(d2, starts)
-    at_best = np.where(d2 == np.repeat(best, c), np.arange(total), total)
+    at_best = np.where(d2 == best[seg], row, total)
     tx = np.full(n, -1, dtype=np.int64)
-    tx[rx] = cand[np.minimum.reduceat(at_best, starts)]
+    tx[rx] = sowner[hold[np.minimum.reduceat(at_best, starts)]]
     dist = np.empty(n)
     dist[rx] = np.sqrt(best)
     outage = tx < 0

@@ -26,6 +26,7 @@ from .geometry import (
     n_reuse_colors,
     pair_within_clusters,
     reuse_color,
+    segment_ids,
 )
 from .phy import PhyConfig, path_gain
 
@@ -136,25 +137,28 @@ def _cochannel_interference(
     lay_sizes = sizes[by_size]
     lay_ends = np.cumsum(lay_sizes)
     lay_starts = lay_ends - lay_sizes
-    local = np.arange(lay_ends[-1]) - np.repeat(lay_starts, lay_sizes)
-    rows = np.repeat((np.cumsum(sizes) - sizes)[by_size], lay_sizes) + local
+    n_rows = int(lay_ends[-1])
+    group = segment_ids(lay_starts, n_rows)
+    first = lay_starts[group]  # layout row of each row's group's first link
+    local = np.arange(n_rows) - first
+    rows = (np.cumsum(sizes) - sizes)[by_size][group] + local
     tx_rows, rx_rows = tx[rows], rx[rows]
     txx, txy = positions[tx_rows, 0], positions[tx_rows, 1]
     rxx, rxy = positions[rx_rows, 0], positions[rx_rows, 1]
     # groups in pass j: those of more than max(j, 1) links
     n_groups = np.searchsorted(-lay_sizes, -np.maximum(np.arange(lay_sizes[0]), 1))
-    interference = np.zeros(len(rows))
+    interference = np.zeros(n_rows)
     for j, m in enumerate(n_groups.tolist()):
         if m == 0:
             break
         r = lay_ends[m - 1]
-        src = lay_starts[:m] + j
+        src = first[:r] + j
         victim = local[:r] != j
-        dx = (np.repeat(txx[src], lay_sizes[:m]) - rxx[:r])[victim]
-        dy = (np.repeat(txy[src], lay_sizes[:m]) - rxy[:r])[victim]
+        dx = (txx[src] - rxx[:r])[victim]
+        dy = (txy[src] - rxy[:r])[victim]
         received = interference[:r]
         received[victim] += phy.Pmax * path_gain(np.hypot(dx, dy), phy)
-    out = np.empty(len(rows))
+    out = np.empty(n_rows)
     out[rows] = interference
     return out
 
@@ -189,7 +193,7 @@ def _clustered_bits(
     cell_sorted = pairing.cell[order]
     boundaries = np.concatenate(([0], np.nonzero(np.diff(cell_sorted))[0] + 1))
     counts = np.diff(np.concatenate((boundaries, [L])))
-    rounds = np.arange(L, dtype=np.int64) - np.repeat(boundaries, counts)
+    rounds = np.arange(L, dtype=np.int64) - boundaries[segment_ids(boundaries, L)]
     r_max = int(counts.max())
     airtime = duration / r_max
 

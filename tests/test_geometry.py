@@ -14,6 +14,7 @@ from d2dcache.geometry import (
     pair_within_clusters,
     place_users,
     reuse_color,
+    segment_ids,
 )
 from d2dcache.popularity import PopularityModel
 
@@ -105,6 +106,14 @@ def _brute_force_pairing(realization, grid):
         if best is not None:
             tx[u] = (np.sqrt(best[0]), best[1])
     return tx
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=40))
+def test_segment_ids_match_repeat(sizes):
+    sizes = np.array(sizes)
+    starts = np.cumsum(sizes) - sizes
+    seg = segment_ids(starts, int(sizes.sum()))
+    assert np.array_equal(seg, np.repeat(np.arange(len(sizes)), sizes))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
