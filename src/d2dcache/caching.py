@@ -76,10 +76,6 @@ class SplitCachingPolicy:
         if self.gc2 > self.gc1:
             raise ValueError(f"expected gc2 <= gc1, got gc1={self.gc1} gc2={self.gc2}")
 
-    @property
-    def cache_size(self) -> int:
-        return 2 * self.policy_slot1.cache_size
-
 
 def _waterfill_probs(prob_mass: np.ndarray, S: int, g_c: float) -> np.ndarray:
     """Minimize sum p*exp(-g_c*Pc) s.t. sum Pc = S, 0 <= Pc <= 1.

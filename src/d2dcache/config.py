@@ -7,9 +7,10 @@ per point from arithmetic expressions over the swept value (e.g. N: "50 * M").
 from __future__ import annotations
 
 import ast
+import math
 import operator
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import yaml
 
@@ -40,7 +41,7 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -187,38 +188,10 @@ def swept_param_names(cfg: ExperimentConfig) -> list[str]:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = {
-        "scheme": cfg.scheme,
-        "regime": cfg.regime,
-        "N": cfg.N,
-        "M": cfg.M,
-        "S": cfg.S,
-        "gamma": cfg.gamma,
-        "q": cfg.q,
-        "rho_or_alpha1": cfg.rho_or_alpha1,
-        "C_sec": cfg.C_sec,
-        "n_realizations": cfg.n_realizations,
-        "base_seed": cfg.base_seed,
-        "T_prime": cfg.T_prime,
-        "eps0": cfg.eps0,
-        "check_bounds": cfg.check_bounds,
-        "phy": {
-            "chi": cfg.phy.chi,
-            "alpha": cfg.phy.alpha,
-            "N0": cfg.phy.N0,
-            "B": cfg.phy.B,
-            "Pmax": cfg.phy.Pmax,
-            "K": cfg.phy.K,
-            "gain_cap": cfg.phy.gain_cap,
-            "sinr_ceiling": cfg.phy.sinr_ceiling,
-        },
-    }
-    if cfg.sweep is not None:
-        d["sweep"] = {
-            "param": cfg.sweep.param,
-            "values": list(cfg.sweep.values),
-            "couple": dict(cfg.sweep.couple),
-        }
+    d = asdict(cfg)
+    del d["threads"]
+    if cfg.sweep is None:
+        del d["sweep"]
     return d
 
 
@@ -262,19 +235,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 raise ValueError(f"cannot sweep or couple {name!r}: not a numeric model parameter")
         if not all(_is_number(v) for v in sweep.values):
             raise ValueError(f"sweep.values must be numbers, got {list(sweep.values)!r}")
-    threads = data.pop("threads", None)
-    known = {
-        "scheme", "regime", "N", "M", "S", "gamma", "q", "rho_or_alpha1",
-        "C_sec", "n_realizations", "base_seed", "T_prime", "eps0", "check_bounds",
-    }
-    unknown = set(data) - known
+    top = fields(ExperimentConfig)
+    unknown = set(data) - {f.name for f in top}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"scheme", "regime", "N", "M", "S", "gamma", "q",
-               "rho_or_alpha1", "n_realizations", "base_seed"} - set(data)
+    required = {f.name for f in top if f.default is MISSING and f.default_factory is MISSING}
+    missing = required - set(data)
     if missing:
         raise ValueError(f"config is missing required keys: {sorted(missing)}")
-    return ExperimentConfig(phy=phy, sweep=sweep, threads=threads, **data)
+    return ExperimentConfig(phy=phy, sweep=sweep, **data)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -22,21 +22,18 @@ from .popularity import PopularityModel, sample_request
 class NetworkRealization:
     """One drawn network: positions, requests and cache contents of N users.
 
-    caches is an (N, S) int64 array of 1-based file indices. In split mode
-    caches_slot1/caches_slot2 hold the two disjoint (N, S/2) subspaces and
-    caches is their concatenation.
+    caches holds one (N, S_slot) int64 block of 1-based file indices per cache
+    subspace: a single block for an unsplit cache, the two disjoint (N, S/2)
+    subspaces of a split one.
     """
 
     positions: np.ndarray
     requests: np.ndarray
-    caches: np.ndarray
-    seed: int
-    caches_slot1: np.ndarray | None = None
-    caches_slot2: np.ndarray | None = None
+    caches: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         n = len(self.positions)
-        if len(self.requests) != n or len(self.caches) != n:
+        if len(self.requests) != n or any(len(c) != n for c in self.caches):
             raise ValueError("positions, requests and caches must have equal length")
         if np.any(self.positions < 0.0) or np.any(self.positions > 1.0):
             raise ValueError("all coordinates must lie in [0, 1]")
@@ -44,9 +41,6 @@ class NetworkRealization:
     @property
     def n_users(self) -> int:
         return len(self.positions)
-
-    def cache_set(self, u: int) -> frozenset:
-        return frozenset(int(f) for f in self.caches[u])
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ class ClusterGrid:
 class PairingOutcome:
     """Per-cell nearest-candidate server assignment.
 
-    tx/rx/distance/file/cell are parallel arrays over established links;
+    tx/rx/distance/cell are parallel arrays over established links;
     outage_flags[u] is True iff no same-cell user (u included) caches
     requests[u].
     """
@@ -81,7 +75,6 @@ class PairingOutcome:
     tx: np.ndarray
     rx: np.ndarray
     distance: np.ndarray
-    file: np.ndarray
     cell: np.ndarray
     outage_flags: np.ndarray
 
@@ -212,24 +205,15 @@ def _nearest_candidate_links(
 def pair_within_clusters(
     realization: NetworkRealization,
     grid: ClusterGrid,
-    cache_cols: np.ndarray | None = None,
+    caches: np.ndarray,
 ) -> PairingOutcome:
-    """Pair every user with the nearest same-cell holder of its request.
-
-    cache_cols selects which cache columns to search (defaults to the full
-    caches; the double time-slot scheme passes one subspace at a time).
-    """
-    cols = realization.caches if cache_cols is None else cache_cols
+    """Pair every user with the nearest same-cell holder of its request in
+    caches, one (N, S_slot) block of realization.caches."""
     tx, rx, dist, outage = _nearest_candidate_links(
-        realization.positions, realization.requests, cols, grid.cell_id, grid.n_cells
+        realization.positions, realization.requests, caches, grid.cell_id, grid.n_cells
     )
     return PairingOutcome(
-        tx=tx,
-        rx=rx,
-        distance=dist,
-        file=realization.requests[rx],
-        cell=grid.cell_id[rx],
-        outage_flags=outage,
+        tx=tx, rx=rx, distance=dist, cell=grid.cell_id[rx], outage_flags=outage
     )
 
 
@@ -248,14 +232,7 @@ def build_realization(
     pos = place_users(N, rng)
     req = sample_request(model, rng, size=N)
     if isinstance(policy, SplitCachingPolicy):
-        s1, s2 = place_split_caches_batch(policy, rng, N)
-        return NetworkRealization(
-            positions=pos,
-            requests=req,
-            caches=np.concatenate([s1, s2], axis=1),
-            seed=seed,
-            caches_slot1=s1,
-            caches_slot2=s2,
-        )
-    caches = place_caches_batch(policy, rng, N)
-    return NetworkRealization(positions=pos, requests=req, caches=caches, seed=seed)
+        caches = place_split_caches_batch(policy, rng, N)
+    else:
+        caches = (place_caches_batch(policy, rng, N),)
+    return NetworkRealization(positions=pos, requests=req, caches=caches)

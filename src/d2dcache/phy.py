@@ -11,13 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-_SERIES_REL_TOL = 1e-10
-_SERIES_CHUNK = 10_000_000
-_SERIES_MAX_TERMS = 500_000_000
 
 
 @dataclass(frozen=True)
@@ -78,35 +73,26 @@ def path_gain(d, cfg: PhyConfig):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=32)
 def interference_series_constant(alpha: float) -> float:
-    """sum_{i>=1} i^(1-alpha) by partial sums with an integral-bracketed tail.
+    """sum_{i>=1} i^(1-alpha) = zeta(s), s = alpha - 1, by Euler-Maclaurin.
 
-    The tail after n terms lies between the integrals from n+1 and from n;
-    the midpoint is added and the bracket half-width certifies a relative
-    error <= 1e-10.
+    The terms i < n = 100 are summed directly and the tail from n is
+    n^(1-s)/(s-1) + n^-s/2 + s n^(-s-1)/12 - s(s+1)(s+2) n^(-s-3)/720.
+    x^-s is completely monotone, so the error is below the first omitted
+    term, s(s+1)(s+2)(s+3)(s+4) n^(-s-5)/30240: under 4e-15 for every
+    alpha > 2, while the sum exceeds 1.
     """
     if alpha <= 2:
         raise ValueError(f"series diverges for alpha <= 2, got {alpha}")
-    total = 0.0
-    n = 0
-    chunk = 10_000
-    while True:
-        chunk = min(chunk, _SERIES_MAX_TERMS - n)
-        i = np.arange(n + 1, n + chunk + 1, dtype=np.float64)
-        total += float(np.exp((1.0 - alpha) * np.log(i)).sum())
-        n += chunk
-        tail_hi = n ** (2.0 - alpha) / (alpha - 2.0)
-        tail_lo = (n + 1) ** (2.0 - alpha) / (alpha - 2.0)
-        mid = 0.5 * (tail_hi + tail_lo)
-        if 0.5 * (tail_hi - tail_lo) <= _SERIES_REL_TOL * (total + mid):
-            return total + mid
-        if n >= _SERIES_MAX_TERMS:
-            raise RuntimeError(
-                f"interference series for alpha={alpha} did not reach the "
-                f"requested tolerance within {_SERIES_MAX_TERMS} terms"
-            )
-        chunk = min(10 * chunk, _SERIES_CHUNK)
+    s = alpha - 1.0
+    n = 100
+    return math.fsum([
+        *(i**-s for i in range(1, n)),
+        n ** (1.0 - s) / (s - 1.0),
+        0.5 * n**-s,
+        s * n ** (-s - 1.0) / 12.0,
+        -s * (s + 1.0) * (s + 2.0) * n ** (-s - 3.0) / 720.0,
+    ])
 
 
 def interference_upper_bound(d: float, cfg: PhyConfig, nu_upp: float) -> float:

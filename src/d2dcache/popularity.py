@@ -1,4 +1,4 @@
-"""MZipf request popularity: probability mass, harmonic sums, seeded sampling.
+"""MZipf request popularity: probability mass and seeded sampling.
 
 The request distribution over a library of M files is
 P(f) = (f + q)^(-gamma) / H(1, M), where H(a, b) = sum_{f=a}^{b} (f+q)^(-gamma).
@@ -58,24 +58,6 @@ class PopularityModel:
         c[-1] = 1.0
         c.setflags(write=False)
         return c
-
-
-def harmonic_sum(a: int, b: int, model: PopularityModel) -> float:
-    """Sum of (f+q)^(-gamma) for f in a..b (inclusive), compensated summation."""
-    if a < 1:
-        raise ValueError(f"harmonic_sum lower limit must be >= 1, got {a}")
-    if a > b:
-        raise ValueError(f"harmonic_sum called on empty range a={a} > b={b}")
-    if b > model.M:
-        raise ValueError(f"harmonic_sum upper limit {b} exceeds library size {model.M}")
-    return math.fsum(model._weights[a - 1 : b])
-
-
-def pmf(f: int, model: PopularityModel) -> float:
-    """Request probability of file f (1-based)."""
-    if f < 1 or f > model.M:
-        raise ValueError(f"file index {f} outside library 1..{model.M}")
-    return float(model.pmf_table[f - 1])
 
 
 def sample_request(model: PopularityModel, rng: np.random.Generator, size: int | None = None):

@@ -57,24 +57,12 @@ class SlotResult:
     link_interference: np.ndarray | None = None
 
     @property
-    def total_bits(self) -> float:
-        return float(self.bits.sum())
-
-    @property
     def n_links(self) -> int:
         return len(self.link_rx)
 
     @property
     def min_sinr(self) -> float:
         return float(self.link_sinr.min()) if len(self.link_sinr) else math.inf
-
-    @property
-    def mean_rate(self) -> float:
-        return float(self.link_rate.mean()) if len(self.link_rate) else 0.0
-
-    @property
-    def mean_distance(self) -> float:
-        return float(self.link_distance.mean()) if len(self.link_distance) else 0.0
 
     @property
     def max_interference(self) -> float:
@@ -270,8 +258,9 @@ def run_scenario1(
 ) -> SchemeResult:
     """TDMA half plus clustered half over a single unsplit cache, clusters of
     target side `side`."""
+    (caches,) = realization.caches
     grid = build_grid(grid_from_target_side(side), realization.positions)
-    pairing = pair_within_clusters(realization, grid)
+    pairing = pair_within_clusters(realization, grid, caches)
 
     slot_a = _tdma_bits(realization, pairing, phy, T_prime)
     slot_b = _clustered_bits(realization, pairing, grid, phy, T_prime / 2.0, "cluster")
@@ -297,12 +286,11 @@ def run_scenario2(
     clustered delivery, target side side2 (sqrt(eps)*side1), cache subspace 2.
     A user is in outage only if unserved in both slots.
     """
-    if realization.caches_slot1 is None or realization.caches_slot2 is None:
-        raise ValueError("scenario 2 needs a realization drawn from a split caching policy")
+    caches1, caches2 = realization.caches
     grid1 = build_grid(grid_from_target_side(side1), realization.positions)
     grid2 = build_grid(grid_from_target_side(side2), realization.positions)
-    pairing1 = pair_within_clusters(realization, grid1, realization.caches_slot1)
-    pairing2 = pair_within_clusters(realization, grid2, realization.caches_slot2)
+    pairing1 = pair_within_clusters(realization, grid1, caches1)
+    pairing2 = pair_within_clusters(realization, grid2, caches2)
 
     half = T_prime / 2.0
     slot1 = _clustered_bits(realization, pairing1, grid1, phy, half, "cluster1")

@@ -98,7 +98,7 @@ def _brute_force_pairing(realization, grid):
         for v in range(n):
             if grid.cell_id[v] != grid.cell_id[u]:
                 continue
-            if realization.requests[u] not in realization.cache_set(v):
+            if realization.requests[u] not in realization.caches[0][v]:
                 continue
             dx, dy = (realization.positions[v] - realization.positions[u]).tolist()
             if best is None or (dx * dx + dy * dy, v) < best:
@@ -122,7 +122,7 @@ def test_pairing_matches_brute_force(seed):
     policy = optimize_policy(model, 2, 8.0)
     realization = build_realization(model, policy, 50, seed)
     grid = build_grid(2, realization.positions)
-    outcome = pair_within_clusters(realization, grid)
+    outcome = pair_within_clusters(realization, grid, realization.caches[0])
     brute = _brute_force_pairing(realization, grid)
 
     assert set(outcome.rx.tolist()) == set(brute)
@@ -141,12 +141,12 @@ def test_pairing_respects_cells_and_link_bound():
     policy = optimize_policy(model, 2, 30.0)
     realization = build_realization(model, policy, 2000, 9)
     grid = build_grid(5, realization.positions)
-    outcome = pair_within_clusters(realization, grid)
+    outcome = pair_within_clusters(realization, grid, realization.caches[0])
     assert np.array_equal(grid.cell_id[outcome.tx], grid.cell_id[outcome.rx])
     assert outcome.distance.max() <= np.sqrt(2) / 5 + 1e-12
     # every tx really caches the requested file
     for tx, rx in zip(outcome.tx[:100], outcome.rx[:100]):
-        assert realization.requests[rx] in realization.cache_set(int(tx))
+        assert realization.requests[rx] in realization.caches[0][tx]
     # each served user has exactly one inbound link
     assert len(np.unique(outcome.rx)) == outcome.n_links
 
@@ -155,8 +155,7 @@ def _realization(positions, requests, caches):
     return NetworkRealization(
         positions=np.asarray(positions, dtype=np.float64),
         requests=np.asarray(requests, dtype=np.int64),
-        caches=np.asarray(caches, dtype=np.int64),
-        seed=0,
+        caches=(np.asarray(caches, dtype=np.int64),),
     )
 
 
@@ -170,7 +169,8 @@ def test_pairing_ties_go_to_lowest_index():
         [1, 9, 2, 9, 9, 9, 1, 9],
         [[3], [1], [3], [1], [2], [2], [3], [1]],
     )
-    outcome = pair_within_clusters(realization, build_grid(1, realization.positions))
+    grid = build_grid(1, realization.positions)
+    outcome = pair_within_clusters(realization, grid, realization.caches[0])
     assert outcome.rx.tolist() == [0, 2, 6]
     assert outcome.tx.tolist() == [1, 4, 7]
     assert outcome.distance[0] == 0.25
@@ -194,7 +194,7 @@ def test_pairing_matches_oracle_on_lattice(N, M, S, k, seed):
         rng.integers(0, 5, (N, 2)) / 4.0, rng.integers(1, M + 1, N), rng.integers(1, M + 1, (N, S))
     )
     grid = build_grid(k, realization.positions)
-    outcome = pair_within_clusters(realization, grid)
+    outcome = pair_within_clusters(realization, grid, realization.caches[0])
     brute = _brute_force_pairing(realization, grid)
     assert outcome.rx.tolist() == sorted(brute)
     assert outcome.tx.tolist() == [brute[u][1] for u in sorted(brute)]

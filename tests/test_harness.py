@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,18 +78,27 @@ def test_config_validation_errors():
         ("base_seed", -1),  # PCG64 would reject it inside the first trial
         ("sweep", [1, 2]),
         ("phy", [1]),
+        ("q", math.nan),
+        ("q", math.inf),
+        ("C_sec", math.nan),
+        ("T_prime", math.nan),
+        ("eps0", math.nan),
     ]
     for key, value in bad_types:
         with pytest.raises(ValueError, match=key):
             config_from_dict({**BASE, key: value})
-    with pytest.raises(ValueError, match="phy.alpha"):
-        config_from_dict({**BASE, "phy": {"alpha": "4"}})
+    bad_phy = [("alpha", "4"), ("alpha", math.inf), ("chi", math.nan), ("N0", math.nan),
+               ("Pmax", math.inf)]
+    for key, value in bad_phy:
+        with pytest.raises(ValueError, match=f"phy.{key}"):
+            config_from_dict({**BASE, "phy": {key: value}})
     bad_sweeps = [
         ({"values": [50, 100]}, "sweep.param"),
         ({"param": "M"}, "sweep.values"),
         ({"param": "M", "values": 100}, "sweep.values"),
         ({"param": "M", "values": [50], "couple": ["N"]}, "sweep.couple"),
         ({"param": "M", "values": [50], "coupel": {"N": "40 * M"}}, "coupel"),  # was ignored
+        ({"param": "gamma", "values": [0.5, math.nan]}, "sweep.values"),
     ]
     for sweep, key in bad_sweeps:
         with pytest.raises(ValueError, match=key):
@@ -308,3 +320,18 @@ def test_cli_sweep_scenario2(tmp_path):
     assert rc == 0
     lines = (tmp_path / "sw" / "results.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_popularity_import_stays_light():
+    # the package __init__ re-exports nothing, so one submodule loads alone
+    code = (
+        "import sys, d2dcache.popularity\n"
+        "print(sorted({'yaml', 'd2dcache.config', 'd2dcache.schemes'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out == "[]\n"

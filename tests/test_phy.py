@@ -16,6 +16,16 @@ from d2dcache.validate import check_log_inequality
 from link_oracle import ActiveLink, ActiveSet, link_rate
 
 ZETA3 = 1.2020569031595943  # independent value of sum i^-3
+# sum i^(1-alpha) by direct partial sums (up to 1e8 terms) with an
+# integral-bracketed tail, accurate to 1e-10 relative
+PARTIAL_SUMS = {
+    2.01: 100.577943338499,
+    2.1: 10.584448464950801,
+    2.5: 2.6123753486854886,
+    3.0: 1.644934066848227,
+    4.0: 1.2020569031595947,
+    6.0: 1.03692775514337,
+}
 
 
 def cfg(**kw):
@@ -94,6 +104,8 @@ def test_active_set_power_validation():
 
 def test_interference_series_alpha4():
     assert interference_series_constant(4.0) == pytest.approx(ZETA3, rel=1e-10)
+    for alpha in (3.0, 4.0, 6.0):
+        assert interference_series_constant(alpha) == pytest.approx(PARTIAL_SUMS[alpha], rel=1e-10)
     with pytest.raises(ValueError):
         interference_series_constant(2.0)
 
@@ -101,6 +113,8 @@ def test_interference_series_alpha4():
 def test_interference_series_near_two():
     # zeta(1.5) = 2.612375348685488
     assert interference_series_constant(2.5) == pytest.approx(2.612375348685488, rel=1e-9)
+    for alpha in (2.01, 2.1, 2.5):
+        assert interference_series_constant(alpha) == pytest.approx(PARTIAL_SUMS[alpha], rel=1e-10)
 
 
 def test_interference_upper_bound_value():

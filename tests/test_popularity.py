@@ -1,47 +1,28 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dcache.popularity import PopularityModel, harmonic_sum, pmf, sample_request
+from d2dcache.popularity import PopularityModel, sample_request
 
 
 def test_harmonic_single_term():
-    m = PopularityModel(M=10, gamma=1.3, q=2.5)
-    assert harmonic_sum(1, 1, m) == pytest.approx((1 + 2.5) ** -1.3, rel=1e-14)
+    # the normaliser H(1, M) of a one-file library is its single term
+    m = PopularityModel(M=1, gamma=1.3, q=2.5)
+    assert m._norm == pytest.approx((1 + 2.5) ** -1.3, rel=1e-14)
 
 
 def test_harmonic_classic_values():
     m = PopularityModel(M=3, gamma=1.0, q=0.0)
-    assert harmonic_sum(1, 3, m) == pytest.approx(11.0 / 6.0, abs=1e-12)
+    assert m._norm == pytest.approx(11.0 / 6.0, abs=1e-12)
     m7 = PopularityModel(M=7, gamma=0.0, q=5.0)
-    assert harmonic_sum(1, 7, m7) == pytest.approx(7.0, abs=1e-12)
-
-
-def test_harmonic_errors():
-    m = PopularityModel(M=5, gamma=0.8, q=1.0)
-    with pytest.raises(ValueError):
-        harmonic_sum(3, 2, m)
-    with pytest.raises(ValueError):
-        harmonic_sum(0, 2, m)
-    with pytest.raises(ValueError):
-        harmonic_sum(1, 6, m)
+    assert m7._norm == pytest.approx(7.0, abs=1e-12)
 
 
 def test_pmf_values():
-    assert pmf(1, PopularityModel(M=1, gamma=2.0, q=3.0)) == pytest.approx(1.0)
-    assert pmf(3, PopularityModel(M=5, gamma=0.0, q=0.0)) == pytest.approx(0.2)
-    assert pmf(1, PopularityModel(M=2, gamma=1.0, q=0.0)) == pytest.approx(2.0 / 3.0)
-
-
-def test_pmf_domain_error():
-    m = PopularityModel(M=4, gamma=0.5, q=0.0)
-    with pytest.raises(ValueError):
-        pmf(0, m)
-    with pytest.raises(ValueError):
-        pmf(5, m)
+    assert PopularityModel(M=1, gamma=2.0, q=3.0).pmf_table[0] == pytest.approx(1.0)
+    assert PopularityModel(M=5, gamma=0.0, q=0.0).pmf_table[2] == pytest.approx(0.2)
+    assert PopularityModel(M=2, gamma=1.0, q=0.0).pmf_table[0] == pytest.approx(2.0 / 3.0)
 
 
 def test_model_validation():
@@ -66,27 +47,10 @@ def test_pmf_sums_to_one_and_monotone(M, gamma, q):
     assert np.all(np.diff(t) <= 1e-15)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    M=st.integers(3, 500),
-    gamma=st.floats(0.0, 4.0),
-    q=st.floats(0.0, 100.0),
-    data=st.data(),
-)
-def test_harmonic_additivity(M, gamma, q, data):
-    m = PopularityModel(M=M, gamma=gamma, q=q)
-    a = data.draw(st.integers(1, M - 2))
-    b = data.draw(st.integers(a, M - 1))
-    c = data.draw(st.integers(b + 1, M))
-    whole = harmonic_sum(a, c, m)
-    split = harmonic_sum(a, b, m) + harmonic_sum(b + 1, c, m)
-    assert split == pytest.approx(whole, abs=1e-12 * max(1.0, whole))
-
-
 def test_q_zero_reduces_to_zipf():
     m = PopularityModel(M=50, gamma=1.2, q=0.0)
     for f in (2, 7, 50):
-        ratio = pmf(f, m) / pmf(1, m)
+        ratio = m.pmf_table[f - 1] / m.pmf_table[0]
         assert ratio == pytest.approx(f**-1.2, abs=1e-12)
 
 
