@@ -134,13 +134,28 @@ def test_scenario1_deterministic():
     assert np.array_equal(a.per_user_bits, b.per_user_bits)
 
 
-def test_scenario1_sinr_floor_holds():
-    # every trial's cluster slot stays above the SINR floor and below the ring
-    # interference bound
+@pytest.fixture(scope="module")
+def mini_cluster_ratios():
+    """cluster_ratios of 120 runner trials of the mini network at base seed 300."""
     cfg = _mini(n_realizations=120, base_seed=300)
     ratios = [cluster_ratios(res, PHY) for res, _, _ in run_trials(cfg, build_point_inputs(cfg))]
+    return cfg, ratios
+
+
+def test_scenario1_sinr_floor_holds(mini_cluster_ratios):
+    # every trial's cluster slot stays above the SINR floor and below the ring
+    # interference bound
+    cfg, ratios = mini_cluster_ratios
     report = check_sinr_floor(ratios, cfg.base_seed)
     assert report.passed and report.n_checks == 120, report.detail
+
+
+def test_interference_below_closed_form_bound(mini_cluster_ratios):
+    # max interference / ring bound in each trial's cluster slot
+    _, ratios = mini_cluster_ratios
+    i_ratios = np.array([r[1] for r in ratios])
+    assert len(i_ratios) == 120
+    assert np.all(i_ratios <= 1.0), i_ratios.max()
 
 
 def _scenario2_setup(N=20_000, seed=17):
