@@ -67,16 +67,14 @@ class ClusterGrid:
 class PairingOutcome:
     """Per-cell nearest-candidate server assignment.
 
-    tx/rx/distance/cell are parallel arrays over established links;
-    outage_flags[u] is True iff no same-cell user (u included) caches
-    requests[u].
+    tx/rx/distance are parallel arrays over the established links, in
+    ascending rx order; a user is in outage iff it is no link's rx, that is,
+    iff no same-cell user (itself included) caches its request.
     """
 
     tx: np.ndarray
     rx: np.ndarray
     distance: np.ndarray
-    cell: np.ndarray
-    outage_flags: np.ndarray
 
     @property
     def n_links(self) -> int:
@@ -137,7 +135,7 @@ def _nearest_candidate_links(
     cache_cols: np.ndarray,
     cell_id: np.ndarray,
     n_cells: int,
-):
+) -> PairingOutcome:
     """Vectorized nearest same-cell cached-copy search, linear in the candidates.
 
     One sort of the composite key ((file, cell), holder) builds the inverted
@@ -171,7 +169,7 @@ def _nearest_candidate_links(
     hit = np.flatnonzero(run_key[run] == qkey)
     if len(hit) == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0), np.ones(n, dtype=bool)
+        return PairingOutcome(empty, empty, np.empty(0))
 
     rx, run = quser[hit], run[hit]
     c = run_len[run]
@@ -197,9 +195,8 @@ def _nearest_candidate_links(
     tx[rx] = sowner[hold[np.minimum.reduceat(at_best, starts)]]
     dist = np.empty(n)
     dist[rx] = np.sqrt(best)
-    outage = tx < 0
-    served = np.flatnonzero(~outage)
-    return tx[served], served, dist[served], outage
+    served = np.flatnonzero(tx >= 0)
+    return PairingOutcome(tx[served], served, dist[served])
 
 
 def pair_within_clusters(
@@ -209,11 +206,8 @@ def pair_within_clusters(
 ) -> PairingOutcome:
     """Pair every user with the nearest same-cell holder of its request in
     caches, one (N, S_slot) block of realization.caches."""
-    tx, rx, dist, outage = _nearest_candidate_links(
+    return _nearest_candidate_links(
         realization.positions, realization.requests, caches, grid.cell_id, grid.n_cells
-    )
-    return PairingOutcome(
-        tx=tx, rx=rx, distance=dist, cell=grid.cell_id[rx], outage_flags=outage
     )
 
 

@@ -39,6 +39,10 @@ class PhyConfig:
     sinr_ceiling: float | None = None
 
     def __post_init__(self):
+        for name in ("chi", "alpha", "N0", "B", "Pmax", "gain_cap", "sinr_ceiling"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 2:
             raise ValueError(
                 f"pathloss exponent must exceed 2 (interference series diverges), got {self.alpha}"

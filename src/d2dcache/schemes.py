@@ -33,28 +33,28 @@ from .phy import PhyConfig, path_gain
 
 @dataclass
 class SlotResult:
-    """Delivery outcome of one time slot, with its link table.
+    """Link table of one time slot: the slot's only record of who it served.
 
-    The link_* arrays are parallel, one row per active link. link_res is the
-    time-frequency resource each link holds for airtime seconds on bandwidth
-    Hz: a TDMA activation, or a (round, color) pair of a clustered slot.
-    Links are grouped by link_res, and the first link of each resource is its
-    max-power representative (every link transmits at Pmax), which the
-    transport-capacity bound relies on. Resource keys restart in every slot.
+    The link_* arrays are parallel, one row per active link, and each user is
+    the rx of at most one link. link_res is the time-frequency resource each
+    link holds for airtime seconds on bandwidth Hz: a TDMA activation, or a
+    (round, color) pair of a clustered slot. Links are grouped by link_res,
+    and the first link of each resource is its max-power representative
+    (every link transmits at Pmax), which the transport-capacity bound relies
+    on. Resource keys restart in every slot. link_interference is the
+    co-channel interference at each receiver, zero in a TDMA slot.
     """
 
     label: str
-    bits: np.ndarray
-    served: np.ndarray
     link_rx: np.ndarray
     link_distance: np.ndarray
     link_rate: np.ndarray
     link_sinr: np.ndarray
     link_res: np.ndarray
+    link_interference: np.ndarray
     airtime: float
     bandwidth: float
     cluster_side: float | None
-    link_interference: np.ndarray | None = None
 
     @property
     def n_links(self) -> int:
@@ -66,24 +66,34 @@ class SlotResult:
 
     @property
     def max_interference(self) -> float:
-        if self.link_interference is None or not len(self.link_interference):
-            return 0.0
-        return float(self.link_interference.max())
+        return float(self.link_interference.max()) if len(self.link_interference) else 0.0
 
 
 @dataclass
 class SchemeResult:
-    """Epoch outcome for every user plus per-slot breakdowns."""
+    """Epoch outcome: the link tables of every slot, read per user on demand."""
 
-    per_user_bits: np.ndarray
-    per_user_served: np.ndarray
+    n_users: int
     slots: list[SlotResult]
-    realized_cluster_sides: tuple[float, ...]
     T_prime: float
 
     @property
-    def n_users(self) -> int:
-        return len(self.per_user_bits)
+    def per_user_bits(self) -> np.ndarray:
+        bits = np.zeros(self.n_users)
+        for s in self.slots:
+            bits[s.link_rx] += s.link_rate * s.airtime
+        return bits
+
+    @property
+    def per_user_served(self) -> np.ndarray:
+        served = np.zeros(self.n_users, dtype=bool)
+        for s in self.slots:
+            served[s.link_rx] = True
+        return served
+
+    @property
+    def realized_cluster_sides(self) -> tuple[float, ...]:
+        return tuple(s.cluster_side for s in self.slots if s.cluster_side is not None)
 
     @property
     def outage_fraction(self) -> float:
@@ -97,12 +107,8 @@ class SchemeResult:
 
     def transport_links(self) -> tuple[np.ndarray, np.ndarray]:
         """(distance, average rate bits/s) of every served (pair, slot)."""
-        d = np.concatenate([s.link_distance for s in self.slots]) if self.slots else np.empty(0)
-        bits = (
-            np.concatenate([s.link_rate * s.airtime for s in self.slots])
-            if self.slots
-            else np.empty(0)
-        )
+        d = np.concatenate([s.link_distance for s in self.slots])
+        bits = np.concatenate([s.link_rate * s.airtime for s in self.slots])
         return d, bits / self.T_prime
 
 
@@ -151,6 +157,26 @@ def _cochannel_interference(
     return out
 
 
+def _rate_links(
+    label: str,
+    rx: np.ndarray,
+    distance: np.ndarray,
+    interference: np.ndarray,
+    res: np.ndarray,
+    airtime: float,
+    bandwidth: float,
+    cluster_side: float | None,
+    phy: PhyConfig,
+) -> SlotResult:
+    """The link table of a slot whose links all transmit at Pmax on
+    `bandwidth` Hz, each rated by its SINR against the given interference."""
+    sinr = phy.Pmax * path_gain(distance, phy) / (bandwidth * phy.N0 + interference)
+    rate = bandwidth * np.log2(1.0 + phy.effective_sinr(sinr))
+    return SlotResult(
+        label, rx, distance, rate, sinr, res, interference, airtime, bandwidth, cluster_side
+    )
+
+
 def _clustered_bits(
     realization: NetworkRealization,
     pairing: PairingOutcome,
@@ -165,20 +191,18 @@ def _clustered_bits(
     their color's sub-channel for duration/R_max seconds, R_max being the
     largest per-cluster pair count.
     """
-    n = realization.n_users
-    bits = np.zeros(n)
-    served = ~pairing.outage_flags
     bw = phy.subchannel_bandwidth
     L = pairing.n_links
     if L == 0:
-        return SlotResult(
-            label, bits, served, pairing.rx, pairing.distance,
-            np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), 0.0, bw, grid.side,
+        no_res = np.empty(0, dtype=np.int64)
+        return _rate_links(
+            label, pairing.rx, pairing.distance, np.empty(0), no_res, 0.0, bw, grid.side, phy
         )
 
     # round index = rank of the link inside its cluster; rx already ascends
-    order = np.argsort(pairing.cell, kind="stable")
-    cell_sorted = pairing.cell[order]
+    cell = grid.cell_id[pairing.rx]
+    order = np.argsort(cell, kind="stable")
+    cell_sorted = cell[order]
     boundaries = np.concatenate(([0], np.nonzero(np.diff(cell_sorted))[0] + 1))
     counts = np.diff(np.concatenate((boundaries, [L])))
     rounds = np.arange(L, dtype=np.int64) - boundaries[segment_ids(boundaries, L)]
@@ -199,25 +223,8 @@ def _clustered_bits(
     tx_g = pairing.tx[link_idx]
     rx_g = pairing.rx[link_idx]
     interference = _cochannel_interference(realization.positions, tx_g, rx_g, g_sizes, phy)
-
-    gain = path_gain(pairing.distance[link_idx], phy)
-    sinr = phy.Pmax * gain / (bw * phy.N0 + interference)
-    rate = bw * np.log2(1.0 + phy.effective_sinr(sinr))
-    bits[rx_g] = rate * airtime  # a user holds at most one link per slot
-
-    return SlotResult(
-        label=label,
-        bits=bits,
-        served=served,
-        link_rx=rx_g,
-        link_distance=pairing.distance[link_idx],
-        link_rate=rate,
-        link_sinr=sinr,
-        link_res=g_key,
-        airtime=airtime,
-        bandwidth=bw,
-        cluster_side=grid.side,
-        link_interference=interference,
+    return _rate_links(
+        label, rx_g, pairing.distance[link_idx], interference, g_key, airtime, bw, grid.side, phy
     )
 
 
@@ -228,25 +235,10 @@ def _tdma_bits(
     T_prime: float,
 ) -> SlotResult:
     """Slot A: every served pair alone in the full band for T'/(2N) seconds."""
-    n = realization.n_users
-    bits = np.zeros(n)
-    airtime = T_prime / (2.0 * n)
-    gain = path_gain(pairing.distance, phy)
-    snr = phy.Pmax * gain / (phy.B * phy.N0)
-    rate = phy.B * np.log2(1.0 + phy.effective_sinr(snr))
-    bits[pairing.rx] = rate * airtime
-    return SlotResult(
-        label="tdma",
-        bits=bits,
-        served=~pairing.outage_flags,
-        link_rx=pairing.rx,
-        link_distance=pairing.distance,
-        link_rate=rate,
-        link_sinr=snr,
-        link_res=np.arange(pairing.n_links),
-        airtime=airtime,
-        bandwidth=phy.B,
-        cluster_side=None,
+    L = pairing.n_links
+    airtime = T_prime / (2.0 * realization.n_users)
+    return _rate_links(
+        "tdma", pairing.rx, pairing.distance, np.zeros(L), np.arange(L), airtime, phy.B, None, phy
     )
 
 
@@ -264,13 +256,7 @@ def run_scenario1(
 
     slot_a = _tdma_bits(realization, pairing, phy, T_prime)
     slot_b = _clustered_bits(realization, pairing, grid, phy, T_prime / 2.0, "cluster")
-    return SchemeResult(
-        per_user_bits=slot_a.bits + slot_b.bits,
-        per_user_served=~pairing.outage_flags,
-        slots=[slot_a, slot_b],
-        realized_cluster_sides=(grid.side,),
-        T_prime=T_prime,
-    )
+    return SchemeResult(realization.n_users, [slot_a, slot_b], T_prime)
 
 
 def run_scenario2(
@@ -295,11 +281,4 @@ def run_scenario2(
     half = T_prime / 2.0
     slot1 = _clustered_bits(realization, pairing1, grid1, phy, half, "cluster1")
     slot2 = _clustered_bits(realization, pairing2, grid2, phy, half, "cluster2")
-    served = slot1.served | slot2.served
-    return SchemeResult(
-        per_user_bits=slot1.bits + slot2.bits,
-        per_user_served=served,
-        slots=[slot1, slot2],
-        realized_cluster_sides=(grid1.side, grid2.side),
-        T_prime=T_prime,
-    )
+    return SchemeResult(realization.n_users, [slot1, slot2], T_prime)

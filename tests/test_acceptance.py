@@ -155,12 +155,13 @@ def test_criterion_9_fairness(family):
     )
     outcomes = []
     for res, _, _ in run_trials(cfg, build_point_inputs(cfg)):
-        s1, s2 = res.slot("cluster1"), res.slot("cluster2")
-        only1 = s1.served & ~s2.served
-        if s2.served.any() and only1.any():
-            outcomes.append(
-                float(res.per_user_bits[s2.served].mean()) > float(res.per_user_bits[only1].mean())
-            )
+        served1, served2 = (np.zeros(res.n_users, dtype=bool) for _ in range(2))
+        served1[res.slot("cluster1").link_rx] = True
+        served2[res.slot("cluster2").link_rx] = True
+        only1 = served1 & ~served2
+        if served2.any() and only1.any():
+            bits = res.per_user_bits
+            outcomes.append(float(bits[served2].mean()) > float(bits[only1].mean()))
     frac = float(np.mean(outcomes))
     part_b = frac >= 0.95
     _report(

@@ -14,7 +14,6 @@ from d2dcache.analysis import fit_loglog
 from d2dcache.caching import closed_form_outage, finite_n_outage, optimize_policy
 from d2dcache.cli import main
 from d2dcache.config import (
-    ExperimentConfig,
     config_from_dict,
     load_config,
     sweep_points,
@@ -109,6 +108,16 @@ def test_config_validation_errors():
         with pytest.raises(ValueError, match="q must be positive"):
             config_from_dict({**gt1, "scheme": scheme})
     assert config_from_dict({**BASE, "gamma": 0, "threads": 2, "check_bounds": True}).threads == 2
+
+
+def test_phy_rejects_non_finite_numbers_built_in_code():
+    # a PhyConfig made in code never passes config_from_dict's key checks
+    phy = config_from_dict(BASE).phy
+    for key in ("chi", "alpha", "N0", "B", "Pmax", "gain_cap", "sinr_ceiling"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            dataclasses.replace(phy, **{key: math.nan})
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        dataclasses.replace(phy, alpha=math.inf)
 
 
 def test_config_regime_warning():

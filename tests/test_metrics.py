@@ -18,15 +18,23 @@ PHY = PhyConfig(**DEFAULT_PHY)
 
 
 def _synthetic_result(bits, served, T_prime=1.0):
-    bits = np.asarray(bits, dtype=np.float64)
-    served = np.asarray(served, dtype=bool)
-    return SchemeResult(
-        per_user_bits=bits,
-        per_user_served=served,
-        slots=[],
-        realized_cluster_sides=(),
-        T_prime=T_prime,
+    """One slot of unit airtime whose links reach the served users at rates
+    `bits`; the other users get nothing."""
+    rx = np.flatnonzero(np.asarray(served, dtype=bool))
+    zeros = np.zeros(len(rx))
+    slot = SlotResult(
+        label="tdma",
+        link_rx=rx,
+        link_distance=zeros,
+        link_rate=np.asarray(bits, dtype=np.float64)[rx],
+        link_sinr=zeros,
+        link_res=np.arange(len(rx)),
+        link_interference=zeros,
+        airtime=1.0,
+        bandwidth=PHY.B,
+        cluster_side=None,
     )
+    return SchemeResult(n_users=len(served), slots=[slot], T_prime=T_prime)
 
 
 def estimate(results, T_prime):
@@ -104,18 +112,17 @@ def test_bound_single_full_band_link():
     snr = PHY.Pmax * gain / (PHY.N0 * PHY.B)
     slot = SlotResult(
         label="tdma",
-        bits=np.zeros(1),
-        served=np.ones(1, dtype=bool),
         link_rx=np.array([0]),
         link_distance=np.array([r]),
         link_rate=np.array([PHY.B * math.log2(1.0 + snr)]),
         link_sinr=np.array([snr]),
         link_res=np.array([0]),
+        link_interference=np.zeros(1),
         airtime=1.0,
         bandwidth=PHY.B,
         cluster_side=None,
     )
-    res = SchemeResult(np.zeros(1), np.ones(1, dtype=bool), [slot], (), T_prime=1.0)
+    res = SchemeResult(n_users=1, slots=[slot], T_prime=1.0)
     check = check_transport_bound(res, PHY, R0=0.02, eps0=0.1)
     assert check.holds
     assert check.lhs == pytest.approx(check.terms["C_W"], rel=1e-12)

@@ -15,6 +15,7 @@ from d2dcache.geometry import (
     PairingOutcome,
     build_grid,
     build_realization,
+    grid_from_target_side,
     pair_within_clusters,
 )
 from d2dcache.phy import PhyConfig, sinr_floor
@@ -90,7 +91,10 @@ def test_single_user_tdma_degenerate():
     tdma = res.slot("tdma")
     # the lone user self-serves, full band, half the epoch, capped gain
     snr = PHY.Pmax * PHY.gain_cap / (PHY.B * PHY.N0)
-    assert tdma.bits[0] == pytest.approx(PHY.B * math.log2(1 + snr) * 0.5, rel=1e-12)
+    assert tdma.link_rx.tolist() == [0]
+    assert tdma.link_rate[0] * tdma.airtime == pytest.approx(
+        PHY.B * math.log2(1 + snr) * 0.5, rel=1e-12
+    )
     assert tdma.airtime == pytest.approx(0.5)
 
 
@@ -187,7 +191,8 @@ def test_scenario2_identical_construction_when_eps_one():
     s1, s2 = res.slot("cluster1"), res.slot("cluster2")
     assert res.realized_cluster_sides[0] == res.realized_cluster_sides[1]
     assert s1.n_links == pytest.approx(s2.n_links, rel=0.05)
-    assert s1.bits.sum() == pytest.approx(s2.bits.sum(), rel=0.10)
+    bits1, bits2 = (np.sum(s.link_rate * s.airtime) for s in (s1, s2))
+    assert bits1 == pytest.approx(bits2, rel=0.10)
 
 
 def test_scenario2_slot2_links_shorter():
@@ -221,13 +226,41 @@ def test_scenario2_slot2_rate_and_total_advantage():
 
 
 def test_scenario2_outage_only_when_both_slots_miss():
+    # a user is served iff the pairing of either slot's grid and cache block
+    # reaches it, and exactly the served users carry bits
     inputs, realization = _scenario2_setup(N=10_000, seed=31)
     res = run_scenario2(realization, *inputs.sides, PHY, 1.0)
-    s1, s2 = res.slot("cluster1"), res.slot("cluster2")
-    assert np.array_equal(res.per_user_served, s1.served | s2.served)
-    # users served by either slot carry bits
-    assert np.all(res.per_user_bits[res.per_user_served] > 0)
-    assert np.all(res.per_user_bits[~res.per_user_served] == 0)
+    reached = np.zeros(realization.n_users, dtype=bool)
+    for side, caches in zip(inputs.sides, realization.caches):
+        grid = build_grid(grid_from_target_side(side), realization.positions)
+        reached[pair_within_clusters(realization, grid, caches).rx] = True
+    assert 0 < reached.sum() < realization.n_users
+    assert np.array_equal(res.per_user_served, reached)
+    assert np.array_equal(res.per_user_bits > 0, reached)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scheme=st.sampled_from(["scenario1", "scenario2"]),
+    N=st.integers(800, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_user_bits_sum_the_slots_that_serve_each_user(scheme, N, seed):
+    # every user is the rx of at most one link per slot, and its bits add, slot
+    # by slot, rate x airtime of each link that reaches it
+    cfg = _config(scheme=scheme, N=N, M=400, q=20.0, S=2, rho_or_alpha1=4.0, C_sec=4.0)
+    inputs = build_point_inputs(cfg)
+    realization = build_realization(inputs.model, inputs.policy, N, seed)
+    run = run_scenario2 if scheme == "scenario2" else run_scenario1
+    res = run(realization, *inputs.sides, PHY, 1.0)
+    for slot in res.slots:
+        assert len(np.unique(slot.link_rx)) == slot.n_links
+    bits, served = res.per_user_bits, res.per_user_served
+    for u in range(N):
+        links = [(s, np.flatnonzero(s.link_rx == u)) for s in res.slots]
+        shares = [float(s.link_rate[row[0]] * s.airtime) for s, row in links if len(row)]
+        assert bits[u] == sum(shares)
+        assert served[u] == bool(shares)
 
 
 def test_scenario2_sinr_floor_both_slots():
@@ -290,8 +323,7 @@ def _synthetic_slot(counts, k, seed):
         caches=(np.ones((2 * L, 1), dtype=np.int64),),
     )
     pairing = PairingOutcome(
-        tx=np.arange(L, 2 * L), rx=np.arange(L),
-        distance=np.hypot(*(tx_pos - rx_pos).T), cell=cell, outage_flags=np.arange(2 * L) >= L,
+        tx=np.arange(L, 2 * L), rx=np.arange(L), distance=np.hypot(*(tx_pos - rx_pos).T)
     )
     grid = ClusterGrid(k=k, cell_id=users)
     return realization, _clustered_bits(realization, pairing, grid, PHY, 0.5, "cluster")
