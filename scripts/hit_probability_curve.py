@@ -8,10 +8,10 @@ Writes a CSV next to stdout output; no plotting.
 """
 
 import argparse
-import os
 
 from d2dcache.analysis import fit_loglog
 from d2dcache.popularity import PopularityModel
+from d2dcache.runner import write_tables
 from d2dcache.validate import hit_probability_curve
 
 
@@ -34,13 +34,9 @@ def main():
         extra = f"  MC gap {r['gap_in_se']:.2f} SE" if "gap_in_se" in r else ""
         print(f"  eps*rho = {r['eps_rho']:.6f}  p_hit = {r['p_hit_closed_form']:.6f}{extra}")
 
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "hit_probability.csv")
     keys = ["eps_rho", "p_hit_closed_form", "p_out_mc", "mc_se", "gap_in_se"]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(keys) + "\n")
-        for r in rows:
-            fh.write(",".join(repr(r[k]) if k in r else "" for k in keys) + "\n")
+    table = [[r.get(k) for k in keys] for r in rows]
+    [path] = write_tables(args.out, "hit_probability", "csv", keys, table, None)
     print(f"wrote {path}")
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
 import sys
 import time
 
@@ -20,7 +18,7 @@ from . import validate
 from .config import config_to_dict, load_config, sweep_points
 from .phy import interference_upper_bound, sinr_floor
 from .regimes import REGIMES
-from .runner import build_point_inputs, run, write_artifact
+from .runner import build_point_inputs, point_params, run, write_artifact, write_tables
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -45,19 +43,11 @@ def _load(args, force_single: bool = False):
     return cfg
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args, force_single=True)
-    t0 = time.monotonic()
-    artifact = run(cfg)
-    written = write_artifact(artifact, cfg, args.out, args.format, time.monotonic() - t0)
-    for p in written:
-        print(f"wrote {p}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    if cfg.sweep is None:
+def cmd_run(args) -> int:
+    """simulate runs the config's single point; sweep runs every sweep point."""
+    single = args.command == "simulate"
+    cfg = _load(args, force_single=single)
+    if cfg.sweep is None and not single:
         print("config has no sweep section; running the single point", file=sys.stderr)
     t0 = time.monotonic()
     artifact = run(cfg)
@@ -74,21 +64,25 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Closed-form per-point report: cluster sides, outage, SINR floor."""
+    """Closed-form per-point report: cluster sides, outage, SINR floor. A point
+    whose inputs cannot be built is recorded as its params and its error."""
     cfg = _load(args)
     rows = []
     for point in sweep_points(cfg):
-        inputs = build_point_inputs(point)
+        entry = point_params(point)
+        try:
+            inputs = build_point_inputs(point)
+        except ValueError as exc:
+            rows.append({**entry, "error": str(exc)})
+            continue
         regime = REGIMES[point.regime]
         d = inputs.sides[0]
-        entry = {
-            "N": point.N, "M": point.M, "S": point.S, "gamma": point.gamma,
-            "q": point.q, "rho_or_alpha1": point.rho_or_alpha1,
-            "cluster_side": d,
-            "occupancy": inputs.occupancy,
-            "sinr_floor": sinr_floor(d, point.phy, point.phy.Pmax, point.phy.Pmax),
-            "interference_bound": interference_upper_bound(d, point.phy, point.phy.Pmax),
-        }
+        entry.update(
+            cluster_side=d,
+            occupancy=inputs.occupancy,
+            sinr_floor=sinr_floor(d, point.phy, point.phy.Pmax, point.phy.Pmax),
+            interference_bound=interference_upper_bound(d, point.phy, point.phy.Pmax),
+        )
         if point.scheme == "scenario2":
             entry["epsilon"] = inputs.epsilon
             entry["slot2_cluster_side"] = inputs.sides[1]
@@ -100,24 +94,12 @@ def cmd_analyze(args) -> int:
         entry["predicted_exponent"] = regime.exponent(point.scheme, point.gamma)
         rows.append(entry)
 
-    os.makedirs(args.out, exist_ok=True)
-    keys = sorted({k for r in rows for k in r})
-    written = []
-    if args.format in ("csv", "both"):
-        path = os.path.join(args.out, "analysis.csv")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(",".join(keys) + "\n")
-            for r in rows:
-                fh.write(",".join(repr(r[k]) if isinstance(r.get(k), float) else str(r.get(k, ""))
-                                  for k in keys) + "\n")
-        written.append(path)
-    if args.format in ("json", "both"):
-        path = os.path.join(args.out, "analysis.json")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump({"config": config_to_dict(cfg), "points": rows}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
+    # the CSV does not quote, so error messages go to the JSON only
+    keys = sorted({k for r in rows for k in r} - {"error"})
+    written = write_tables(
+        args.out, "analysis", args.format, keys, [[r.get(k) for k in keys] for r in rows],
+        {"config": config_to_dict(cfg), "points": rows},
+    )
     for p in written:
         print(f"wrote {p}")
     return 0
@@ -130,11 +112,9 @@ def cmd_validate(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: {r.detail} (n={r.n_checks}, seed={r.seed})")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "validate.json")
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2)
-        print(f"wrote {path}")
+        for path in write_tables(args.out, "validate", "json", [], [],
+                                 [dataclasses.asdict(r) for r in reports]):
+            print(f"wrote {path}")
     print(f"{len(reports) - len(failed)}/{len(reports)} suites passed")
     return 1 if failed else 0
 
@@ -146,17 +126,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run a single configuration point")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="run a parameter sweep and fit the scaling")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_an = sub.add_parser("analyze", help="closed-form quantities only")
-    _add_common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
+    for name, func, help_text in (
+        ("simulate", cmd_run, "run a single configuration point"),
+        ("sweep", cmd_run, "run a parameter sweep and fit the scaling"),
+        ("analyze", cmd_analyze, "closed-form quantities only"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p_val = sub.add_parser("validate", help="run the invariant suites")
     p_val.add_argument("--out", default=None, help="optional report directory")

@@ -26,7 +26,7 @@ class Regime:
     axis: str  # the fit axis is S / axis
     shrink: Callable[[float, float], float] | None  # (S/driver, gamma) -> product / C_sec
     exponents: dict[str, Callable[[float], float]]  # scheme -> gamma -> exponent
-    small_cluster: str | None  # name of the analysis formula, looked up per call
+    small_cluster_outage: Callable | None  # analysis formula (gc_prime, model, S) -> outage
     q_warn_divisor: int | None = None  # warn when q > M / q_warn_divisor
     q_warning: str = ""
 
@@ -61,12 +61,6 @@ class Regime:
         """Predicted throughput exponent in the fit axis."""
         return self.exponents[scheme](gamma)
 
-    @property
-    def small_cluster_outage(self) -> Callable:
-        """The analysis formula (gc_prime, model, S) -> outage, looked up at
-        each access so a rebinding of the analysis function takes effect."""
-        return getattr(analysis, self.small_cluster)
-
 
 GAMMA_LT1 = Regime(
     name="gamma_lt1",
@@ -78,7 +72,7 @@ GAMMA_LT1 = Regime(
         "scenario1": lambda gamma: 1.0,  # throughput ~ (S/M)^1
         "scenario2": lambda gamma: (1.0 - gamma) / (2.0 - gamma),
     },
-    small_cluster="po_sec_gamma_lt1",
+    small_cluster_outage=analysis.po_sec_gamma_lt1,
     q_warn_divisor=1,
     q_warning=(
         "plateau q={q} exceeds library size M={M}; the popularity law is nearly "
@@ -96,7 +90,7 @@ GAMMA_GT1 = Regime(
         "scenario1": lambda gamma: 1.0,  # throughput ~ (S/q)^1
         "scenario2": lambda gamma: 0.5,  # throughput ~ (S/q)^(1/2)
     },
-    small_cluster="po_sec_gamma_gt1",
+    small_cluster_outage=analysis.po_sec_gamma_gt1,
     q_warn_divisor=10,
     q_warning=(
         "light-tailed regime expects q well below M, got q={q}, M={M}; scaling "
@@ -112,7 +106,7 @@ ZIPF_GT1 = Regime(
     axis="M",
     shrink=None,
     exponents={"scenario1": lambda gamma: 0.0},
-    small_cluster=None,
+    small_cluster_outage=None,
 )
 
 REGIMES = {r.name: r for r in (GAMMA_LT1, GAMMA_GT1, ZIPF_GT1)}

@@ -12,7 +12,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,25 +24,18 @@ from .regimes import REGIMES
 
 SCHEMA_VERSION = 1
 
-CSV_FIXED_COLUMNS = [
-    "T_min_avg",
-    "T_stderr",
-    "p_o_hat",
-    "p_o_stderr",
-    "C_gamma_mean",
-    "bound_slack_min",
-]
-
 
 @dataclass
 class PointResult:
+    """One sweep point; a failed point keeps every default but its error."""
+
     params: dict
-    estimate: metrics.ThroughputOutageEstimate | None
-    c_gamma_mean: float
-    bound_slack_min: float
-    closed_form_outage: float
-    epsilon: float | None
-    cluster_sides: tuple
+    estimate: metrics.ThroughputOutageEstimate | None = None
+    c_gamma_mean: float = math.nan
+    bound_slack_min: float = math.nan
+    closed_form_outage: float = math.nan
+    epsilon: float | None = None
+    cluster_sides: tuple = ()
     error: str | None = None
 
 
@@ -123,19 +116,20 @@ def run_trials(cfg: ExperimentConfig, inputs: PointInputs):
         yield from pool.map(lambda t: run_trial(cfg, inputs, t), range(cfg.n_realizations))
 
 
-def run_point(cfg: ExperimentConfig) -> PointResult:
-    params = {
+def point_params(cfg: ExperimentConfig) -> dict:
+    """The fields that name a sweep point in every artifact."""
+    return {
         "N": cfg.N, "M": cfg.M, "S": cfg.S, "gamma": cfg.gamma, "q": cfg.q,
         "rho_or_alpha1": cfg.rho_or_alpha1,
     }
+
+
+def run_point(cfg: ExperimentConfig) -> PointResult:
+    params = point_params(cfg)
     try:
         inputs = build_point_inputs(cfg)
     except ValueError as exc:
-        return PointResult(
-            params=params, estimate=None, c_gamma_mean=math.nan,
-            bound_slack_min=math.nan, closed_form_outage=math.nan,
-            epsilon=None, cluster_sides=(), error=str(exc),
-        )
+        return PointResult(params, error=str(exc))
     acc = metrics.ThroughputAccumulator(T_prime=cfg.T_prime)
     c_gammas: list[float] = []
     slacks: list[float] = []
@@ -172,14 +166,7 @@ def run(cfg: ExperimentConfig) -> ResultArtifact:
         y = [p.estimate.mean_throughput for p in good]
         try:
             f = analysis.fit_loglog([x for _, x in axis], y)
-            fit = {
-                "x": axis[0][0],
-                "slope": f.slope,
-                "intercept": f.intercept,
-                "r_squared": f.r_squared,
-                "n_points": f.n_points,
-                "slope_stderr": f.slope_stderr,
-            }
+            fit = {"x": axis[0][0], **asdict(f)}
         except ValueError:
             fit = None
     return ResultArtifact(
@@ -205,59 +192,52 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def artifact_rows(artifact: ResultArtifact, cfg: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
+def _nan_to_null(x):
+    if isinstance(x, float) and math.isnan(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _nan_to_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_nan_to_null(v) for v in x]
+    return x
+
+
+def write_tables(out_dir, stem: str, fmt: str, header: list, rows: list, doc) -> list[str]:
+    """The one artifact format: <stem>.csv holds the header and the rows, each
+    cell by _fmt; <stem>.json holds doc with NaN as null and sorted keys.
+    fmt is csv, json or both; returns the paths written."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    if fmt in ("csv", "both"):
+        path = os.path.join(out_dir, f"{stem}.csv")
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            for row in [header, *rows]:
+                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        written.append(path)
+    if fmt in ("json", "both"):
+        path = os.path.join(out_dir, f"{stem}.json")
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            json.dump(_nan_to_null(doc), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        written.append(path)
+    return written
+
+
+def artifact_rows(artifact: ResultArtifact, cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     swept = swept_param_names(cfg)
-    header = ["point", *swept, *CSV_FIXED_COLUMNS]
+    header = ["point", *swept, "T_min_avg", "T_stderr", "p_o_hat", "p_o_stderr",
+              "C_gamma_mean", "bound_slack_min"]
     rows = []
     for i, p in enumerate(artifact.points):
         est = p.estimate
-        row = [str(i), *[_fmt(p.params[name]) for name in swept]]
+        row = [i, *[p.params[name] for name in swept]]
         if est is None:
-            row += [""] * 4
+            row += [None] * 4
         else:
-            row += [
-                _fmt(est.T_min_avg),
-                _fmt(est.std_errors["T_min_avg"]),
-                _fmt(est.p_o_hat),
-                _fmt(est.std_errors["p_o_hat"]),
-            ]
-        row += [_fmt(p.c_gamma_mean), _fmt(p.bound_slack_min)]
+            row += [est.T_min_avg, est.std_errors["T_min_avg"], est.p_o_hat, est.std_errors["p_o_hat"]]
+        row += [p.c_gamma_mean, p.bound_slack_min]
         rows.append(row)
     return header, rows
-
-
-def artifact_to_dict(artifact: ResultArtifact) -> dict:
-    def _num(x):
-        return None if (isinstance(x, float) and math.isnan(x)) else x
-
-    points = []
-    for p in artifact.points:
-        entry = {
-            "params": p.params,
-            "closed_form_outage": _num(p.closed_form_outage),
-            "c_gamma_mean": _num(p.c_gamma_mean),
-            "bound_slack_min": _num(p.bound_slack_min),
-            "epsilon": p.epsilon,
-            "cluster_sides": list(p.cluster_sides),
-            "error": p.error,
-        }
-        if p.estimate is not None:
-            entry["estimate"] = {
-                "T_min_avg": p.estimate.T_min_avg,
-                "p_o_hat": p.estimate.p_o_hat,
-                "mean_throughput": p.estimate.mean_throughput,
-                "n_realizations": p.estimate.n_realizations,
-                "std_errors": p.estimate.std_errors,
-            }
-        points.append(entry)
-    return {
-        "schema_version": artifact.schema_version,
-        "config": artifact.config,
-        "seed_info": artifact.seed_info,
-        "predicted_exponent": artifact.predicted_exponent,
-        "fit": artifact.fit,
-        "points": points,
-    }
 
 
 def write_artifact(
@@ -270,27 +250,15 @@ def write_artifact(
     """Write results.csv / results.json plus a non-deterministic run_info
 
     sidecar (timing lives there so result files stay byte-stable)."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if fmt in ("csv", "both"):
-        header, rows = artifact_rows(artifact, cfg)
-        path = os.path.join(out_dir, "results.csv")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        written.append(path)
-    if fmt in ("json", "both"):
-        path = os.path.join(out_dir, "results.json")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(artifact_to_dict(artifact), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
+    doc = asdict(artifact)
+    for point in doc["points"]:
+        if point["estimate"] is None:
+            del point["estimate"]
+    written = write_tables(out_dir, "results", fmt, *artifact_rows(artifact, cfg), doc)
     info = {
         "wall_clock_seconds": wall_clock_s,
         "written_at_unix": time.time(),
         "threads": cfg.threads or os.cpu_count() or 1,
     }
-    with open(os.path.join(out_dir, "run_info.json"), "w", encoding="ascii") as fh:
-        json.dump(info, fh, indent=2)
+    write_tables(out_dir, "run_info", "json", [], [], info)
     return written

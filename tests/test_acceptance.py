@@ -146,7 +146,8 @@ def test_criterion_9_fairness(family):
     grand = float(means.mean())
     cv = float(means.std()) / grand
     noise_floor = math.sqrt(float(acc.per_index_vars.mean()) / acc.n_real) / grand
-    part_a = cv <= 5.0 * noise_floor
+    threshold = 5.0 * noise_floor
+    part_a = cv <= threshold
 
     # realization-level unfairness of the double time-slot scheme
     cfg = dataclasses.replace(
@@ -167,7 +168,7 @@ def test_criterion_9_fairness(family):
     _report(
         9,
         part_a and part_b,
-        f"index-mean CV {cv:.4f} <= 5 x noise floor {noise_floor:.4f}: {part_a}; "
+        f"index-mean CV {cv:.4f} <= {threshold:.4f} (5 x noise floor): {part_a}; "
         f"slot-2-served users out-earn slot-1-only users in {100 * frac:.1f}% "
         f"of {len(outcomes)} realizations (>= 95%)",
     )

@@ -274,10 +274,62 @@ def test_cli_simulate_and_analyze(tmp_path, capsys):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
 def test_cli_analyze_shipped_config(tmp_path, path):
     cfg = load_config(path)
-    rc = main(["analyze", "--config", str(path), "--out", str(tmp_path), "--format", "json"])
+    rc = main(["analyze", "--config", str(path), "--out", str(tmp_path), "--format", "both"])
     assert rc == 0
     data = json.loads((tmp_path / "analysis.json").read_text())
     assert len(data["points"]) == len(sweep_points(cfg))
+    # each CSV row is its JSON point: shortest round-trip floats, empty where missing
+    header, *rows = (tmp_path / "analysis.csv").read_text().splitlines()
+    keys = header.split(",")
+    assert keys == sorted(keys)
+    assert len(rows) == len(data["points"])
+    for row, point in zip(rows, data["points"]):
+        cells = dict(zip(keys, row.split(",")))
+        assert len(row.split(",")) == len(keys) and set(point) <= set(keys)
+        for key, cell in cells.items():
+            value = point.get(key)
+            if value is None:
+                assert cell == ""
+            else:
+                assert cell == (repr(value) if isinstance(value, float) else str(value))
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_sweep_two_points_writes_strict_json(tmp_path):
+    # a fit over two points has no slope standard error: it must be null, not NaN
+    sweep = {"param": "M", "values": [40, 80], "couple": {"N": "40 * M"}}
+    path = _write_cfg(tmp_path, n_realizations=2, sweep=sweep)
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw")])
+    assert rc == 0
+    data = _strict_json((tmp_path / "sw" / "results.json").read_text())
+    assert data["fit"]["n_points"] == 2
+    assert data["fit"]["slope_stderr"] is None
+
+
+def test_cli_analyze_records_infeasible_point(tmp_path):
+    # at N = 200 the cluster side sqrt(20 * 40 / 2 / 200) = 1.41 exceeds the network
+    sweep = {"param": "N", "values": [200, 4000]}
+    path = _write_cfg(tmp_path, M=40, rho_or_alpha1=20.0, sweep=sweep)
+    rc = main(["analyze", "--config", str(path), "--out", str(tmp_path / "an")])
+    assert rc == 0
+    bad, good = _strict_json((tmp_path / "an" / "analysis.json").read_text())["points"]
+    assert set(bad) == {"N", "M", "S", "gamma", "q", "rho_or_alpha1", "error"}
+    assert bad["N"] == 200 and "cluster side" in bad["error"]
+    assert good["N"] == 4000 and "error" not in good
+    assert good["outage_closed_form"] > 0.0
+    header, bad_row, good_row = (tmp_path / "an" / "analysis.csv").read_text().splitlines()
+    keys = header.split(",")
+    assert "error" not in keys
+    cells = dict(zip(keys, bad_row.split(",")))
+    assert cells["N"] == "200" and cells["M"] == "40"
+    assert all(cells[k] == "" for k in keys if k not in bad)
+    assert "" not in good_row.split(",")
 
 
 def test_cli_seed_override_changes_results(tmp_path):
