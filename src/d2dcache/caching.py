@@ -57,26 +57,6 @@ class CachingPolicy:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
-class SplitCachingPolicy:
-    """Two sub-policies of size S/2 each, used by the double time-slot scheme.
-
-    gc1/gc2 are the mean cluster occupancies the two sub-policies were
-    optimized for (slot-2 clusters are smaller, so gc2 <= gc1).
-    """
-
-    policy_slot1: CachingPolicy
-    policy_slot2: CachingPolicy
-    gc1: float
-    gc2: float
-
-    def __post_init__(self):
-        if self.policy_slot1.cache_size != self.policy_slot2.cache_size:
-            raise ValueError("split sub-policies must have equal cache sizes")
-        if self.gc2 > self.gc1:
-            raise ValueError(f"expected gc2 <= gc1, got gc1={self.gc1} gc2={self.gc2}")
-
-
 def _waterfill_probs(prob_mass: np.ndarray, S: int, g_c: float) -> np.ndarray:
     """Minimize sum p*exp(-g_c*Pc) s.t. sum Pc = S, 0 <= Pc <= 1.
 
@@ -181,37 +161,34 @@ def place_caches_batch(policy: CachingPolicy, rng: np.random.Generator, n: int) 
 
 def build_split_policy(
     model: PopularityModel, S: int, gc1: float, gc2: float
-) -> SplitCachingPolicy:
+) -> tuple[CachingPolicy, CachingPolicy]:
     """Split the cache into two S/2 subspaces, each optimized for its own g_c."""
     if S % 2 != 0:
         raise ValueError(
             f"split caching needs an even cache size; got S={S} (round up or down)"
         )
-    if gc1 <= 0 or gc2 <= 0:
-        raise ValueError("cluster occupancies must be positive")
-    half = S // 2
-    p1 = optimize_policy(model, half, gc1)
-    p2 = optimize_policy(model, half, gc2)
-    return SplitCachingPolicy(p1, p2, float(gc1), float(gc2))
+    return optimize_policy(model, S // 2, gc1), optimize_policy(model, S // 2, gc2)
 
 
 def place_split_caches_batch(
-    split: SplitCachingPolicy, rng: np.random.Generator, n: int
+    policies: tuple[CachingPolicy, CachingPolicy], rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n split caches; the two subsets of each user are disjoint.
+    """Draw n split caches, one block per sub-policy; the two subsets of each
+    user are disjoint.
 
     Subset 2 is rejection-resampled against subset 1. This distorts the
     slot-2 marginals by O(sum_f Pc1*Pc2), which is second order for the
     spread-out slot-1 policies the schemes use.
     """
-    slot1 = place_caches_batch(split.policy_slot1, rng, n)
-    slot2 = place_caches_batch(split.policy_slot2, rng, n)
+    policy1, policy2 = policies
+    slot1 = place_caches_batch(policy1, rng, n)
+    slot2 = place_caches_batch(policy2, rng, n)
     for _ in range(_MAX_SPLIT_RETRIES):
         clash = (slot2[:, :, None] == slot1[:, None, :]).any(axis=(1, 2))
         if not clash.any():
             return slot1, slot2
         redo = int(clash.sum())
-        slot2[clash] = place_caches_batch(split.policy_slot2, rng, redo)
+        slot2[clash] = place_caches_batch(policy2, rng, redo)
     raise RuntimeError(
         "could not draw disjoint cache subspaces; the two sub-policies "
         "force overlapping saturated files"

@@ -87,7 +87,7 @@ def cmd_analyze(args) -> int:
             entry["epsilon"] = inputs.epsilon
             entry["slot2_cluster_side"] = inputs.sides[1]
             entry["slot2_outage_closed_form"] = regime.small_cluster_outage(
-                inputs.policy.gc2, inputs.model, point.S // 2
+                2.0 * inputs.epsilon * inputs.occupancy, inputs.model, point.S // 2
             )
         else:
             entry["outage_closed_form"] = inputs.closed_form

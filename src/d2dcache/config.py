@@ -50,6 +50,13 @@ class SweepSpec:
     values: tuple
     couple: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in (self.param, *self.couple):
+            if not isinstance(name, str) or name not in _INT_FIELDS | _FLOAT_FIELDS:
+                raise ValueError(f"cannot sweep or couple {name!r}: not a numeric model parameter")
+        if not all(_is_number(v) for v in self.values):
+            raise ValueError(f"sweep.values must be numbers, got {list(self.values)!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -205,12 +212,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown_phy:
         raise ValueError(f"unknown phy keys: {sorted(unknown_phy)}")
     for key, value in phy_raw.items():
-        if key == "sinr_ceiling" and value is None:
-            continue
-        if not (_is_int(value) if key == "K" else _is_number(value)):
-            kind = "an integer" if key == "K" else "a number"
-            raise ValueError(f"phy.{key} must be {kind}, got {value!r}")
-    phy = PhyConfig(**phy_raw)
+        if not (_is_number(value) or (key == "sinr_ceiling" and value is None)):
+            raise ValueError(f"phy.{key} must be a number, got {value!r}")
+    try:
+        phy = PhyConfig(**phy_raw)
+    except ValueError as exc:  # every PhyConfig message starts with its key
+        raise ValueError(f"phy.{exc}") from exc
     sweep_raw = data.pop("sweep", None)
     sweep = None
     if sweep_raw:
@@ -230,11 +237,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sweep = SweepSpec(
             param=sweep_raw["param"], values=tuple(sweep_raw["values"]), couple=dict(couple)
         )
-        for name in (sweep.param, *sweep.couple):
-            if not isinstance(name, str) or name not in _INT_FIELDS | _FLOAT_FIELDS:
-                raise ValueError(f"cannot sweep or couple {name!r}: not a numeric model parameter")
-        if not all(_is_number(v) for v in sweep.values):
-            raise ValueError(f"sweep.values must be numbers, got {list(sweep.values)!r}")
     top = fields(ExperimentConfig)
     unknown = set(data) - {f.name for f in top}
     if unknown:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caching import CachingPolicy, SplitCachingPolicy, place_caches_batch, place_split_caches_batch
+from .caching import CachingPolicy, place_caches_batch, place_split_caches_batch
 from .popularity import PopularityModel, sample_request
 
 
@@ -213,20 +213,22 @@ def pair_within_clusters(
 
 def build_realization(
     model: PopularityModel,
-    policy: CachingPolicy | SplitCachingPolicy,
+    policies: tuple[CachingPolicy, ...],
     N: int,
     seed: int,
 ) -> NetworkRealization:
     """Draw a full network realization from one seeded stream.
 
-    Draw order is fixed (positions, then requests, then cache offsets) so a
-    seed pins the realization bit-exactly.
+    policies holds one caching policy per cache block: (policy,) for an
+    unsplit cache, the two sub-policies of a split one. Draw order is fixed
+    (positions, then requests, then cache offsets) so a seed pins the
+    realization bit-exactly.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     pos = place_users(N, rng)
     req = sample_request(model, rng, size=N)
-    if isinstance(policy, SplitCachingPolicy):
-        caches = place_split_caches_batch(policy, rng, N)
+    if len(policies) == 2:
+        caches = place_split_caches_batch(policies, rng, N)
     else:
-        caches = (place_caches_batch(policy, rng, N),)
+        caches = (place_caches_batch(*policies, rng, N),)
     return NetworkRealization(positions=pos, requests=req, caches=caches)

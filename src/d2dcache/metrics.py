@@ -92,34 +92,32 @@ class ThroughputAccumulator:
         )
 
 
-@dataclass
-class BoundCheck:
-    holds: bool
-    slack: float
-    lhs: float
-    rhs: float
-    terms: dict[str, float]
+def _concat(parts: list, dtype=np.float64) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
-def transport_capacity(distances, rates) -> float:
-    """C_gamma = sum over pairs of distance * average rate (meter-bits/s),
+def _transport(distance, rate, airtime: float, T_prime: float) -> np.ndarray:
+    """Transport of links held for airtime seconds of an epoch T': distance
+    times average rate, d * (bits / T') in meter-bits/s."""
+    return distance * (rate * airtime / T_prime)
+
+
+def _link_transport(result: SchemeResult) -> np.ndarray:
+    """Every link's transport, the slots' link tables concatenated in slot order."""
+    return _concat(
+        [_transport(s.link_distance, s.link_rate, s.airtime, result.T_prime) for s in result.slots]
+    )
+
+
+def transport_capacity(result: SchemeResult) -> float:
+    """C_gamma = sum over links of distance * average rate (meter-bits/s),
     summed without BLAS so that no BLAS thread count enters the result."""
-    d = np.asarray(distances, dtype=np.float64)
-    c = np.asarray(rates, dtype=np.float64)
-    if np.any(d < 0):
-        raise ValueError("link distances must be non-negative")
-    if d.shape != c.shape:
-        raise ValueError("distances and rates must be parallel arrays")
-    return float(np.add.reduce(d * c))
+    return float(np.add.reduce(_link_transport(result)))
 
 
 def bound_constant(alpha: float) -> float:
     """alpha*(3*sqrt(2)+1) + 2*(2*(sqrt(2)+1))^alpha."""
     return alpha * (3.0 * math.sqrt(2.0) + 1.0) + 2.0 * (2.0 * (math.sqrt(2.0) + 1.0)) ** alpha
-
-
-def _concat(parts: list, dtype=np.float64) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
@@ -134,47 +132,34 @@ def check_transport_bound(
     phy: PhyConfig,
     R0: float,
     eps0: float,
-) -> BoundCheck:
-    """Verify the transport-capacity upper bound on one realized schedule.
+) -> float:
+    """Slack RHS - LHS of the transport-capacity upper bound on one realized
+    schedule; the bound holds when it is >= 0.
 
-    The schedule is read off the per-slot link tables: each link holds its
-    slot's airtime and bandwidth, and the first link of each resource in a
-    slot is that resource's max-power representative. LHS is the realized
-    transport capacity. RHS adds, per time-frequency resource, the max-power
-    pair's noise-only transport rate and the actual transport of short (< R0)
-    non-representative pairs, plus the closed-form term
+    The schedule is read off the per-slot link tables: the first link of each
+    resource in a slot is that resource's max-power representative. LHS is
+    transport_capacity. RHS adds, per time-frequency resource, the
+    representative's noise-only transport and the actual transport of short
+    (< R0) non-representative links, plus the closed-form term
     B*log2(e)/eps0 * sqrt(SN/(rho' M)) * C(alpha) with sqrt(SN/(rho' M))
     expressed through R0 = eps0*sqrt(rho' M/(S N)).
     """
     if R0 <= 0 or eps0 <= 0:
         raise ValueError("R0 and eps0 must be positive")
-    B = phy.B
-    slots = result.slots
-    link_w = _concat(
-        [np.full(s.n_links, s.airtime * s.bandwidth / (B * result.T_prime)) * B for s in slots]
-    )
-    link_d = _concat([s.link_distance for s in slots])
-    link_se = np.log2(1.0 + phy.effective_sinr(_concat([s.link_sinr for s in slots])))
-
-    lhs = float(np.sum(link_w * link_d * link_se))
-
+    cw_parts, short = [], []
     # resource keys restart in every slot, so representatives are found per slot
-    is_w = _concat([_first_of_runs(s.link_res) for s in slots], bool)
-    bw_of_link = _concat([np.full(s.n_links, s.bandwidth) for s in slots])
-    se_alone = np.log2(1.0 + phy.Pmax * path_gain(link_d, phy) / (phy.N0 * bw_of_link))
-    cw_term = float(np.sum(link_w[is_w] * link_d[is_w] * se_alone[is_w]))
-
-    short = (~is_w) & (link_d < R0)
-    cr0_term = float(np.sum(link_w[short] * link_d[short] * link_se[short]))
+    for s in result.slots:
+        w = _first_of_runs(s.link_res)
+        d, bw = s.link_distance[w], s.bandwidth
+        rate_alone = bw * np.log2(1.0 + phy.Pmax * path_gain(d, phy) / (phy.N0 * bw))
+        cw_parts.append(_transport(d, rate_alone, s.airtime, result.T_prime))
+        short.append(~w & (s.link_distance < R0))
+    transport = _link_transport(result)
+    cw_term = float(np.add.reduce(_concat(cw_parts)))
+    cr0_term = float(np.add.reduce(transport[_concat(short, bool)]))
 
     # sqrt(SN/(rho'M)) = eps0 / R0
-    third = B * math.log2(math.e) / eps0 * (eps0 / R0) * bound_constant(phy.alpha)
+    third = phy.B * math.log2(math.e) / eps0 * (eps0 / R0) * bound_constant(phy.alpha)
 
-    rhs = cw_term + cr0_term + third
-    return BoundCheck(
-        holds=lhs <= rhs,
-        slack=rhs - lhs,
-        lhs=lhs,
-        rhs=rhs,
-        terms={"C_W": cw_term, "C_R0": cr0_term, "third": third},
-    )
+    # LHS is transport_capacity's sum of the same array
+    return cw_term + cr0_term + third - float(np.add.reduce(transport))

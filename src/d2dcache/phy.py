@@ -45,15 +45,17 @@ class PhyConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 2:
             raise ValueError(
-                f"pathloss exponent must exceed 2 (interference series diverges), got {self.alpha}"
+                f"alpha must exceed 2 (the interference series diverges), got {self.alpha}"
             )
         if self.gain_cap > 1.0 or self.gain_cap <= 0.0:
             raise ValueError(f"gain_cap must be in (0, 1], got {self.gain_cap}")
         for name in ("chi", "N0", "B", "Pmax"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not isinstance(self.K, int) or isinstance(self.K, bool):
+            raise ValueError(f"K must be an integer, got {self.K!r}")
         if self.K < 1:
-            raise ValueError(f"reuse parameter K must be >= 1, got {self.K}")
+            raise ValueError(f"K must be >= 1, got {self.K}")
         if self.sinr_ceiling is not None and self.sinr_ceiling <= 0:
             raise ValueError(f"sinr_ceiling must be positive when set, got {self.sinr_ceiling}")
 

@@ -60,15 +60,9 @@ class PopularityModel:
         return c
 
 
-def sample_request(model: PopularityModel, rng: np.random.Generator, size: int | None = None):
-    """Draw file indices from the popularity law by inverse CDF.
-
-    Deterministic given the generator state: each draw consumes exactly one
-    uniform. Returns a scalar int when size is None, else an int64 array.
-    """
-    u = rng.random(size if size is not None else 1)
-    idx = np.searchsorted(model._cdf, u, side="right") + 1
-    idx = np.minimum(idx, model.M)
-    if size is None:
-        return int(idx[0])
-    return idx.astype(np.int64)
+def sample_request(model: PopularityModel, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size file indices from the popularity law by inverse CDF, as an
+    int64 array. Deterministic given the generator state: each draw consumes
+    exactly one uniform."""
+    idx = np.searchsorted(model._cdf, rng.random(size), side="right") + 1
+    return np.minimum(idx, model.M).astype(np.int64)

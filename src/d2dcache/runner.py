@@ -53,15 +53,17 @@ class ResultArtifact:
 class PointInputs:
     """What every trial of a point shares, all derived from one regime record.
 
-    sides holds the target cluster side of each clustered slot: sqrt(occupancy
-    / N), then sqrt(epsilon) times that for slot 2 of scenario 2. closed_form
-    is the outage the simulation estimates for scenario 1 (exactly N users on
-    the trial's grid, self-service included) and the Poisson cluster outage
-    of slot 1 for scenario 2.
+    policies holds one caching policy per cache block, parallel to the
+    realization's caches and to sides: (policy,) for scenario 1, the two S/2
+    sub-policies for scenario 2. sides holds the target cluster side of each
+    clustered slot: sqrt(occupancy / N), then sqrt(epsilon) times that for
+    slot 2 of scenario 2. closed_form is the outage the simulation estimates
+    for scenario 1 (exactly N users on the trial's grid, self-service
+    included) and the Poisson cluster outage of slot 1 for scenario 2.
     """
 
     model: PopularityModel
-    policy: caching.CachingPolicy | caching.SplitCachingPolicy
+    policies: tuple[caching.CachingPolicy, ...]
     occupancy: float
     sides: tuple[float, ...]
     epsilon: float | None
@@ -83,29 +85,28 @@ def build_point_inputs(cfg: ExperimentConfig) -> PointInputs:
     if cfg.scheme == "scenario2":
         epsilon = regime.epsilon(cfg)
         sides = (side, math.sqrt(epsilon) * side)
-        policy = caching.build_split_policy(model, cfg.S, 2.0 * occupancy, 2.0 * epsilon * occupancy)
-        closed_form = caching.closed_form_outage(policy.policy_slot1, model, policy.gc1)
+        policies = caching.build_split_policy(model, cfg.S, 2.0 * occupancy, 2.0 * epsilon * occupancy)
+        closed_form = caching.closed_form_outage(policies[0], model, 2.0 * occupancy)
     else:
         sides = (side,)
-        policy = caching.optimize_policy(model, cfg.S, occupancy)
+        policies = (caching.optimize_policy(model, cfg.S, occupancy),)
         n_cells = grid_from_target_side(side) ** 2
-        closed_form = caching.finite_n_outage(policy, model, cfg.N, n_cells)
-    return PointInputs(model, policy, occupancy, sides, epsilon, closed_form)
+        closed_form = caching.finite_n_outage(*policies, model, cfg.N, n_cells)
+    return PointInputs(model, policies, occupancy, sides, epsilon, closed_form)
 
 
 def run_trial(cfg: ExperimentConfig, inputs: PointInputs, trial: int):
     seed = cfg.base_seed + trial
-    realization = build_realization(inputs.model, inputs.policy, cfg.N, seed)
+    realization = build_realization(inputs.model, inputs.policies, cfg.N, seed)
     if cfg.scheme == "scenario2":
         result = schemes.run_scenario2(realization, *inputs.sides, cfg.phy, cfg.T_prime)
     else:
         result = schemes.run_scenario1(realization, *inputs.sides, cfg.phy, cfg.T_prime)
-    dist, rates = result.transport_links()
-    c_gamma = metrics.transport_capacity(dist, rates)
+    c_gamma = metrics.transport_capacity(result)
     slack = math.nan
     if cfg.check_bounds:
         r0 = cfg.eps0 * inputs.sides[0]
-        slack = metrics.check_transport_bound(result, cfg.phy, r0, cfg.eps0).slack
+        slack = metrics.check_transport_bound(result, cfg.phy, r0, cfg.eps0)
     return result, c_gamma, slack
 
 

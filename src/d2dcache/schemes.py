@@ -105,12 +105,6 @@ class SchemeResult:
                 return s
         raise KeyError(f"no slot labelled {label!r}")
 
-    def transport_links(self) -> tuple[np.ndarray, np.ndarray]:
-        """(distance, average rate bits/s) of every served (pair, slot)."""
-        d = np.concatenate([s.link_distance for s in self.slots])
-        bits = np.concatenate([s.link_rate * s.airtime for s in self.slots])
-        return d, bits / self.T_prime
-
 
 def _cochannel_interference(
     positions: np.ndarray,

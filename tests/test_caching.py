@@ -194,16 +194,16 @@ def test_split_policy_basics():
     m = PopularityModel(M=100, gamma=0.6, q=10.0)
     with pytest.raises(ValueError):
         build_split_policy(m, 3, 10.0, 5.0)
-    sp = build_split_policy(m, 2, 8.0, 8.0)
-    assert sp.policy_slot1.cache_size == 1
-    assert np.allclose(sp.policy_slot1.probs, sp.policy_slot2.probs)
+    p1, p2 = build_split_policy(m, 2, 8.0, 8.0)
+    assert p1.cache_size == p2.cache_size == 1
+    assert np.allclose(p1.probs, p2.probs)
 
 
 def test_split_policy_concentrates_slot2():
     # smaller g_c drives mass toward the most popular files
     m = PopularityModel(M=100, gamma=0.6, q=10.0)
-    sp = build_split_policy(m, 4, 50.0, 5.0)
-    assert sp.policy_slot2.probs[0] >= sp.policy_slot1.probs[0]
+    p1, p2 = build_split_policy(m, 4, 50.0, 5.0)
+    assert p2.probs[0] >= p1.probs[0]
 
 
 def test_split_placement_disjoint():

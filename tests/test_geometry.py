@@ -120,7 +120,7 @@ def test_segment_ids_match_repeat(sizes):
 def test_pairing_matches_brute_force(seed):
     model = PopularityModel(M=10, gamma=0.8, q=1.0)
     policy = optimize_policy(model, 2, 8.0)
-    realization = build_realization(model, policy, 50, seed)
+    realization = build_realization(model, (policy,), 50, seed)
     grid = build_grid(2, realization.positions)
     outcome = pair_within_clusters(realization, grid, realization.caches[0])
     brute = _brute_force_pairing(realization, grid)
@@ -137,7 +137,7 @@ def test_pairing_matches_brute_force(seed):
 def test_pairing_respects_cells_and_link_bound():
     model = PopularityModel(M=20, gamma=0.7, q=2.0)
     policy = optimize_policy(model, 2, 30.0)
-    realization = build_realization(model, policy, 2000, 9)
+    realization = build_realization(model, (policy,), 2000, 9)
     grid = build_grid(5, realization.positions)
     outcome = pair_within_clusters(realization, grid, realization.caches[0])
     assert np.array_equal(grid.cell_id[outcome.tx], grid.cell_id[outcome.rx])

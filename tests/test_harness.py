@@ -14,6 +14,7 @@ from d2dcache.analysis import fit_loglog
 from d2dcache.caching import closed_form_outage, finite_n_outage, optimize_policy
 from d2dcache.cli import main
 from d2dcache.config import (
+    SweepSpec,
     config_from_dict,
     load_config,
     sweep_points,
@@ -120,6 +121,26 @@ def test_phy_rejects_non_finite_numbers_built_in_code():
         dataclasses.replace(phy, alpha=math.inf)
 
 
+def test_phy_reuse_parameter_built_in_code_is_an_integer():
+    phy = config_from_dict(BASE).phy
+    for K in (1.5, True):
+        with pytest.raises(ValueError, match="^K must be an integer"):
+            dataclasses.replace(phy, K=K)
+    with pytest.raises(ValueError, match=r"^phy\.K must be an integer, got 1\.5"):
+        config_from_dict({**BASE, "phy": {"K": 1.5}})
+
+
+def test_sweep_spec_built_in_code_is_checked():
+    cfg = config_from_dict(BASE)
+    with pytest.raises(ValueError, match="cannot sweep or couple 'bogus'"):
+        dataclasses.replace(cfg, sweep=SweepSpec("bogus", (1,)))
+    with pytest.raises(ValueError, match="cannot sweep or couple 'bogus'"):
+        SweepSpec("M", (50,), {"bogus": "2 * M"})
+    with pytest.raises(ValueError, match="sweep.values must be numbers"):
+        SweepSpec("M", (math.nan,))
+    assert len(sweep_points(dataclasses.replace(cfg, sweep=SweepSpec("M", (50, 60))))) == 2
+
+
 def test_config_regime_warning():
     with pytest.warns(UserWarning):
         config_from_dict({**BASE, "q": 100.0})  # q > M in the heavy-tailed regime
@@ -168,14 +189,16 @@ def test_point_inputs_share_one_occupancy(regime, scheme, over):
     if scheme == "scenario2":
         eps = REGIMES[regime].epsilon(cfg)
         assert inputs.epsilon == eps
-        assert (inputs.policy.gc1, inputs.policy.gc2) == (2.0 * occupancy, 2.0 * eps * occupancy)
         solved = optimize_policy(inputs.model, cfg.S // 2, 2.0 * occupancy)
-        assert np.array_equal(inputs.policy.policy_slot1.probs, solved.probs)
+        solved2 = optimize_policy(inputs.model, cfg.S // 2, 2.0 * eps * occupancy)
+        p1, p2 = inputs.policies
+        assert np.array_equal(p1.probs, solved.probs) and np.array_equal(p2.probs, solved2.probs)
         closed = closed_form_outage(solved, inputs.model, 2.0 * occupancy)
         assert inputs.sides == (side, math.sqrt(eps) * side)
     else:
         solved = optimize_policy(inputs.model, cfg.S, occupancy)
-        assert np.array_equal(inputs.policy.probs, solved.probs)
+        (policy,) = inputs.policies
+        assert np.array_equal(policy.probs, solved.probs)
         # the simulated model: exactly N users on the trial's grid
         closed = finite_n_outage(solved, inputs.model, cfg.N, grid_from_target_side(side) ** 2)
         assert inputs.sides == (side,)

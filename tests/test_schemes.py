@@ -77,7 +77,7 @@ def test_derive_epsilon_regime_error():
 def test_full_cache_never_outages():
     m = PopularityModel(M=4, gamma=0.7, q=0.0)
     policy = optimize_policy(m, 4, 10.0)
-    realization = build_realization(m, policy, 500, 1)
+    realization = build_realization(m, (policy,), 500, 1)
     res = run_scenario1(realization, _side(m, 4, 500, 2.0), PHY, 1.0)
     assert res.outage_fraction == 0.0
     assert np.all(res.per_user_bits > 0)
@@ -86,7 +86,7 @@ def test_full_cache_never_outages():
 def test_single_user_tdma_degenerate():
     m = PopularityModel(M=1, gamma=0.5, q=0.0)
     policy = optimize_policy(m, 1, 1.0)
-    realization = build_realization(m, policy, 1, 0)
+    realization = build_realization(m, (policy,), 1, 0)
     res = run_scenario1(realization, _side(m, 1, 1, 1.0), PHY, 1.0)
     tdma = res.slot("tdma")
     # the lone user self-serves, full band, half the epoch, capped gain
@@ -108,7 +108,7 @@ def test_scenario1_outage_matches_closed_form_small():
     # the trial's grid, self-service included; it lies below the Poisson form
     cfg = _mini(n_realizations=300, base_seed=600)
     inputs = build_point_inputs(cfg)
-    assert inputs.closed_form < closed_form_outage(inputs.policy, inputs.model, inputs.occupancy)
+    assert inputs.closed_form < closed_form_outage(*inputs.policies, inputs.model, inputs.occupancy)
     fracs = [res.outage_fraction for res, _, _ in run_trials(cfg, inputs)]
     assert check_outage_closed_form(fracs, inputs.closed_form, cfg.base_seed).passed
 
@@ -117,7 +117,7 @@ def test_scenario1_equal_service_per_cycle():
     # each served user is activated exactly once per slot
     m = PopularityModel(M=50, gamma=0.7, q=5.0)
     policy = optimize_policy(m, 2, 50.0)
-    realization = build_realization(m, policy, 2000, 8)
+    realization = build_realization(m, (policy,), 2000, 8)
     res = run_scenario1(realization, _side(m, 2, 2000, 2.0), PHY, 1.0)
     for label in ("tdma", "cluster"):
         rx = res.slot(label).link_rx
@@ -133,8 +133,8 @@ def test_scenario1_deterministic():
     m = PopularityModel(M=30, gamma=0.8, q=2.0)
     policy = optimize_policy(m, 2, 30.0)
     side = _side(m, 2, 1000, 2.0)
-    a = run_scenario1(build_realization(m, policy, 1000, 5), side, PHY, 1.0)
-    b = run_scenario1(build_realization(m, policy, 1000, 5), side, PHY, 1.0)
+    a = run_scenario1(build_realization(m, (policy,), 1000, 5), side, PHY, 1.0)
+    b = run_scenario1(build_realization(m, (policy,), 1000, 5), side, PHY, 1.0)
     assert np.array_equal(a.per_user_bits, b.per_user_bits)
 
 
@@ -165,13 +165,13 @@ def test_interference_below_closed_form_bound(mini_cluster_ratios):
 def _scenario2_setup(N=20_000, seed=17):
     cfg = _config(scheme="scenario2", N=N, M=400, q=20.0, S=2, rho_or_alpha1=4.0, C_sec=4.0)
     inputs = build_point_inputs(cfg)
-    return inputs, build_realization(inputs.model, inputs.policy, N, seed)
+    return inputs, build_realization(inputs.model, inputs.policies, N, seed)
 
 
 def test_scenario2_requires_split_caches():
     m = PopularityModel(M=50, gamma=0.6, q=2.0)
     policy = optimize_policy(m, 2, 50.0)
-    realization = build_realization(m, policy, 500, 0)
+    realization = build_realization(m, (policy,), 500, 0)
     side = _side(m, 2, 500, 2.0)
     with pytest.raises(ValueError):
         run_scenario2(realization, side, side, PHY, 1.0)
@@ -184,7 +184,7 @@ def test_scenario2_identical_construction_when_eps_one():
     S, rho, N = 2, 4.0, 20_000
     g_c = rho * m.M / S
     split = build_split_policy(m, S, 2 * g_c, 2 * g_c)
-    assert np.array_equal(split.policy_slot1.probs, split.policy_slot2.probs)
+    assert np.array_equal(split[0].probs, split[1].probs)
     side = _side(m, S, N, rho)
     realization = build_realization(m, split, N, 23)
     res = run_scenario2(realization, side, side, PHY, 1.0)
@@ -213,9 +213,9 @@ def test_scenario2_slot2_rate_and_total_advantage():
     in2 = build_point_inputs(replace(cfg, scheme="scenario2"))
     rate1, rate2, t2tot, t1tot = [], [], [], []
     for seed in range(5):
-        r2 = build_realization(in2.model, in2.policy, N, 900 + seed)
+        r2 = build_realization(in2.model, in2.policies, N, 900 + seed)
         res2 = run_scenario2(r2, *in2.sides, PHY, 1.0)
-        r1 = build_realization(in1.model, in1.policy, N, 900 + seed)
+        r1 = build_realization(in1.model, in1.policies, N, 900 + seed)
         res1 = run_scenario1(r1, *in1.sides, PHY, 1.0)
         rate1.append(res2.slot("cluster1").link_rate.mean())
         rate2.append(res2.slot("cluster2").link_rate.mean())
@@ -250,7 +250,7 @@ def test_per_user_bits_sum_the_slots_that_serve_each_user(scheme, N, seed):
     # by slot, rate x airtime of each link that reaches it
     cfg = _config(scheme=scheme, N=N, M=400, q=20.0, S=2, rho_or_alpha1=4.0, C_sec=4.0)
     inputs = build_point_inputs(cfg)
-    realization = build_realization(inputs.model, inputs.policy, N, seed)
+    realization = build_realization(inputs.model, inputs.policies, N, seed)
     run = run_scenario2 if scheme == "scenario2" else run_scenario1
     res = run(realization, *inputs.sides, PHY, 1.0)
     for slot in res.slots:
@@ -289,7 +289,7 @@ def test_clustered_rates_match_scalar_oracle(N, M, S, k, K, chi, ceiling, seed):
     phy = PhyConfig(**{**DEFAULT_PHY, "K": K, "chi": chi, "sinr_ceiling": ceiling})
     m = PopularityModel(M=M, gamma=0.6, q=1.0)
     S = min(S, M)
-    realization = build_realization(m, optimize_policy(m, S, N / k**2), N, seed)
+    realization = build_realization(m, (optimize_policy(m, S, N / k**2),), N, seed)
     grid = build_grid(k, realization.positions)
     pairing = pair_within_clusters(realization, grid, realization.caches[0])
     slot = _clustered_bits(realization, pairing, grid, phy, 0.5, "cluster")
