@@ -10,30 +10,14 @@ import ast
 import math
 import operator
 import warnings
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .phy import PhyConfig
+from .phy import PhyConfig, check_field_types, field_kinds
 from .regimes import REGIMES
 
 SCHEMES = ("scenario1", "scenario2")
-
-# Unit-free normalization: B = 1 Hz, T' = 1 s, Pmax = 1 W, Pmax/(N0*B) = 1e6.
-# chi is set so the receive-power gain cap binds only at sub-cluster range and
-# cluster-scale links stay inside the power-law region (see README).
-DEFAULT_PHY = {
-    "chi": 1e-11,
-    "alpha": 4.0,
-    "N0": 1e-6,
-    "B": 1.0,
-    "Pmax": 1.0,
-    "K": 1,
-    "gain_cap": 1.0,
-}
-
-_INT_FIELDS = {"N", "M", "S", "n_realizations", "base_seed"}
-_FLOAT_FIELDS = {"gamma", "q", "rho_or_alpha1", "C_sec", "T_prime", "eps0"}
 
 
 def _is_int(value) -> bool:
@@ -51,11 +35,17 @@ class SweepSpec:
     couple: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.values, list):  # a YAML sequence
+            object.__setattr__(self, "values", tuple(self.values))
+        check_field_types(self)
         for name in (self.param, *self.couple):
-            if not isinstance(name, str) or name not in _INT_FIELDS | _FLOAT_FIELDS:
-                raise ValueError(f"cannot sweep or couple {name!r}: not a numeric model parameter")
-        if not all(_is_number(v) for v in self.values):
-            raise ValueError(f"sweep.values must be numbers, got {list(self.values)!r}")
+            if name not in _NUMERIC_FIELDS:
+                raise ValueError(f"sweep: cannot sweep or couple {name!r}: not a numeric parameter")
+        values = list(self.values)
+        if not all(_is_number(v) for v in values):
+            raise ValueError(f"sweep.values must be numbers, got {values!r}")
+        if _NUMERIC_FIELDS[self.param] is int and not all(_is_int(v) for v in values):
+            raise ValueError(f"sweep.values must be integers to sweep {self.param}, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -71,25 +61,15 @@ class ExperimentConfig:
     n_realizations: int
     base_seed: int
     C_sec: float = 4.0
-    T_prime: float = 1.0
     eps0: float = 0.1
     check_bounds: bool = False
     threads: int | None = None
-    phy: PhyConfig | None = None
+    phy: PhyConfig = field(default_factory=PhyConfig)
     sweep: SweepSpec | None = None
 
     def __post_init__(self):
-        if self.phy is None:
-            object.__setattr__(self, "phy", PhyConfig(**DEFAULT_PHY))
-        for name in sorted(_INT_FIELDS):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in sorted(_FLOAT_FIELDS):
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not isinstance(self.check_bounds, bool):
-            raise ValueError(f"check_bounds must be true or false, got {self.check_bounds!r}")
-        if self.threads is not None and not (_is_int(self.threads) and self.threads >= 1):
+        check_field_types(self)
+        if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be null or an integer >= 1, got {self.threads!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
@@ -102,8 +82,8 @@ class ExperimentConfig:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if self.gamma < 0 or self.q < 0:
             raise ValueError("gamma and q must be non-negative")
-        if self.rho_or_alpha1 <= 0 or self.C_sec <= 0 or self.T_prime <= 0 or self.eps0 <= 0:
-            raise ValueError("rho_or_alpha1, C_sec, T_prime and eps0 must be positive")
+        if self.rho_or_alpha1 <= 0 or self.C_sec <= 0 or self.eps0 <= 0:
+            raise ValueError("rho_or_alpha1, C_sec and eps0 must be positive")
         regime = REGIMES[self.regime]
         if not regime.allows_gamma(self.gamma):
             side = ">" if regime.gamma_above_1 else "<"
@@ -124,8 +104,12 @@ class ExperimentConfig:
         if regime.q_warn_divisor and self.q > self.M / regime.q_warn_divisor:
             warnings.warn(regime.q_warning.format(q=self.q, M=self.M), stacklevel=2)
 
-    def point(self, **overrides) -> "ExperimentConfig":
-        return replace(self, sweep=None, **overrides)
+
+# the model parameters a sweep may set, and the type of each
+_NUMERIC_FIELDS = {
+    name: kinds[0] for name, kinds in field_kinds(ExperimentConfig).items()
+    if kinds in ((int,), (float,))
+}
 
 
 _BINARY_OPS = {
@@ -182,9 +166,9 @@ def sweep_points(cfg: ExperimentConfig) -> list[ExperimentConfig]:
             env[name] = _eval_coupling(expr, env)
             overrides[name] = env[name]
         for name in list(overrides):
-            if name in _INT_FIELDS:
+            if _NUMERIC_FIELDS[name] is int:  # coupled values round half to even
                 overrides[name] = int(round(overrides[name]))
-        points.append(cfg.point(**overrides))
+        points.append(replace(cfg, sweep=None, **overrides))
     return points
 
 
@@ -202,55 +186,39 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    data = dict(raw)
-    phy_section = data.pop("phy", None) or {}
-    if not isinstance(phy_section, dict):
-        raise ValueError(f"phy must be a mapping of channel parameters, got {phy_section!r}")
-    phy_raw = {**DEFAULT_PHY, **phy_section}
-    unknown_phy = set(phy_raw) - {f.name for f in fields(PhyConfig)}
-    if unknown_phy:
-        raise ValueError(f"unknown phy keys: {sorted(unknown_phy)}")
-    for key, value in phy_raw.items():
-        if not (_is_number(value) or (key == "sinr_ceiling" and value is None)):
-            raise ValueError(f"phy.{key} must be a number, got {value!r}")
-    try:
-        phy = PhyConfig(**phy_raw)
-    except ValueError as exc:  # every PhyConfig message starts with its key
-        raise ValueError(f"phy.{exc}") from exc
-    sweep_raw = data.pop("sweep", None)
-    sweep = None
-    if sweep_raw:
-        if not isinstance(sweep_raw, dict):
-            raise ValueError(f"sweep must be a mapping with param and values, got {sweep_raw!r}")
-        unknown_sweep = set(sweep_raw) - {"param", "values", "couple"}
-        if unknown_sweep:
-            raise ValueError(f"unknown sweep keys: {sorted(map(str, unknown_sweep))}")
-        for key in ("param", "values"):
-            if key not in sweep_raw:
-                raise ValueError(f"sweep.{key} is missing")
-        if not isinstance(sweep_raw["values"], (list, tuple)):
-            raise ValueError(f"sweep.values must be a list, got {sweep_raw['values']!r}")
-        couple = sweep_raw.get("couple") or {}
-        if not isinstance(couple, dict):
-            raise ValueError(f"sweep.couple must be a mapping of name: expression, got {couple!r}")
-        sweep = SweepSpec(
-            param=sweep_raw["param"], values=tuple(sweep_raw["values"]), couple=dict(couple)
-        )
-    top = fields(ExperimentConfig)
-    unknown = set(data) - {f.name for f in top}
+def _build(cls, raw, name: str = ""):
+    """cls(**raw), its keys checked against cls's fields. A field typed by a
+    config dataclass is built the same way from its own mapping, and its
+    errors are prefixed with its key (phy.K). A null value of a field with a
+    default factory takes the default."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a mapping, got {raw!r}")
+    prefix = f"{name}." if name else ""
+    unknown = set(raw) - set(field_kinds(cls))
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    required = {f.name for f in top if f.default is MISSING and f.default_factory is MISSING}
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"config is missing required keys: {sorted(missing)}")
-    return ExperimentConfig(phy=phy, sweep=sweep, **data)
+        raise ValueError(f"unknown {name or 'config'} keys: {sorted(map(str, unknown))}")
+    data = {}
+    for f in fields(cls):
+        value = raw.get(f.name)
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{prefix}{f.name} is missing")
+        section = next((k for k in field_kinds(cls)[f.name] if is_dataclass(k)), None)
+        if section is not None and isinstance(value, dict):
+            data[f.name] = _build(section, value, prefix + f.name)
+        elif f.name in raw and not (value is None and f.default_factory is not MISSING):
+            data[f.name] = value
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        if not name or str(exc).startswith(name):  # SweepSpec names its section
+            raise
+        raise ValueError(f"{prefix}{exc}") from exc
+
+
+def config_from_dict(raw: dict) -> ExperimentConfig:
+    return _build(ExperimentConfig, raw)
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"config file {path} did not parse to a mapping")
-    return config_from_dict(raw)
+        return config_from_dict(yaml.safe_load(fh))

@@ -1,6 +1,6 @@
 """Throughput, outage and transport-capacity extraction from scheme results.
 
-Per-user throughput over an epoch is bits/T'. The network figure of merit is
+Per-user throughput is bits per epoch. The network figure of merit is
 the minimum over user indices of the across-realization mean throughput; the
 outage probability is the mean fraction of users that no scheme slot served.
 Transport capacity sums distance times average rate over scheduled pairs and
@@ -38,7 +38,6 @@ class ThroughputAccumulator:
     """Streaming reduction over realizations; deterministic when results are
     added in a fixed (trial-index) order."""
 
-    T_prime: float
     n_users: int = 0
     n_real: int = 0
     sum_t: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -47,7 +46,7 @@ class ThroughputAccumulator:
     net_means: list = field(default_factory=list)
 
     def add(self, result: SchemeResult) -> None:
-        t = result.per_user_bits / self.T_prime
+        t = result.per_user_bits
         if self.n_real == 0:
             self.n_users = result.n_users
             self.sum_t = np.zeros(self.n_users)
@@ -96,21 +95,21 @@ def _concat(parts: list, dtype=np.float64) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
-def _transport(distance, rate, airtime: float, T_prime: float) -> np.ndarray:
-    """Transport of links held for airtime seconds of an epoch T': distance
-    times average rate, d * (bits / T') in meter-bits/s."""
-    return distance * (rate * airtime / T_prime)
+def _transport(distance, rate, airtime: float) -> np.ndarray:
+    """Transport of links held for an airtime share of the epoch: distance
+    times average rate, in meter-bits per epoch."""
+    return distance * (rate * airtime)
 
 
 def _link_transport(result: SchemeResult) -> np.ndarray:
     """Every link's transport, the slots' link tables concatenated in slot order."""
     return _concat(
-        [_transport(s.link_distance, s.link_rate, s.airtime, result.T_prime) for s in result.slots]
+        [_transport(s.link_distance, s.link_rate, s.airtime) for s in result.slots]
     )
 
 
 def transport_capacity(result: SchemeResult) -> float:
-    """C_gamma = sum over links of distance * average rate (meter-bits/s),
+    """C_gamma = sum over links of distance * average rate (meter-bits per epoch),
     summed without BLAS so that no BLAS thread count enters the result."""
     return float(np.add.reduce(_link_transport(result)))
 
@@ -152,7 +151,7 @@ def check_transport_bound(
         w = _first_of_runs(s.link_res)
         d, bw = s.link_distance[w], s.bandwidth
         rate_alone = bw * np.log2(1.0 + phy.Pmax * path_gain(d, phy) / (phy.N0 * bw))
-        cw_parts.append(_transport(d, rate_alone, s.airtime, result.T_prime))
+        cw_parts.append(_transport(d, rate_alone, s.airtime))
         short.append(~w & (s.link_distance < R0))
     transport = _link_transport(result)
     cw_term = float(np.add.reduce(_concat(cw_parts)))

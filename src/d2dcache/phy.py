@@ -10,9 +10,48 @@ gets rate B_u * log2(1 + P*gain / (B_u*N0 + interference)).
 from __future__ import annotations
 
 import math
+import types
+import typing
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               tuple: "a list", dict: "a mapping", type(None): "null"}
+
+
+@cache
+def field_kinds(cls) -> dict:
+    """Each field of a dataclass and the tuple of types its annotation accepts."""
+    return {
+        name: typing.get_args(t) if isinstance(t, types.UnionType) else (t,)
+        for name, t in typing.get_type_hints(cls).items()
+    }
+
+
+def _accepts(kind, value) -> bool:
+    if isinstance(value, bool) or value is None:
+        return kind is type(value)
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, typing.get_origin(kind) or kind)
+
+
+def check_field_types(obj) -> None:
+    """Every config dataclass checks its values against its annotations (here,
+    as PhyConfig is the lowest one): int takes an integer and float a finite
+    number, neither a bool; bool a bool; a union any of its members."""
+    for name, kinds in field_kinds(type(obj)).items():
+        value = getattr(obj, name)
+        if not any(_accepts(kind, value) for kind in kinds):
+            expected = " or ".join(
+                _KIND_NAMES.get(typing.get_origin(k) or k) or f"a {k.__name__} (a mapping in YAML)"
+                for k in kinds
+            )
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -27,22 +66,23 @@ class PhyConfig:
     K            -- frequency reuse parameter; reuse factor is (2(K+1))^2
     gain_cap     -- upper bound on any path gain, <= 1
     sinr_ceiling -- bounded-model mode: rates use min(SINR, ceiling); None = off
+
+    The defaults are unit-free: B = 1 Hz, Pmax = 1 W, Pmax/(N0*B) = 1e6. chi
+    is set so the receive-power gain cap binds only at sub-cluster range and
+    cluster-scale links stay inside the power-law region (see README).
     """
 
-    chi: float
-    alpha: float
-    N0: float
-    B: float
-    Pmax: float
+    chi: float = 1e-11
+    alpha: float = 4.0
+    N0: float = 1e-6
+    B: float = 1.0
+    Pmax: float = 1.0
     K: int = 1
     gain_cap: float = 1.0
     sinr_ceiling: float | None = None
 
     def __post_init__(self):
-        for name in ("chi", "alpha", "N0", "B", "Pmax", "gain_cap", "sinr_ceiling"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_field_types(self)
         if self.alpha <= 2:
             raise ValueError(
                 f"alpha must exceed 2 (the interference series diverges), got {self.alpha}"
@@ -52,8 +92,6 @@ class PhyConfig:
         for name in ("chi", "N0", "B", "Pmax"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not isinstance(self.K, int) or isinstance(self.K, bool):
-            raise ValueError(f"K must be an integer, got {self.K!r}")
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.sinr_ceiling is not None and self.sinr_ceiling <= 0:

@@ -99,9 +99,9 @@ def run_trial(cfg: ExperimentConfig, inputs: PointInputs, trial: int):
     seed = cfg.base_seed + trial
     realization = build_realization(inputs.model, inputs.policies, cfg.N, seed)
     if cfg.scheme == "scenario2":
-        result = schemes.run_scenario2(realization, *inputs.sides, cfg.phy, cfg.T_prime)
+        result = schemes.run_scenario2(realization, *inputs.sides, cfg.phy)
     else:
-        result = schemes.run_scenario1(realization, *inputs.sides, cfg.phy, cfg.T_prime)
+        result = schemes.run_scenario1(realization, *inputs.sides, cfg.phy)
     c_gamma = metrics.transport_capacity(result)
     slack = math.nan
     if cfg.check_bounds:
@@ -131,7 +131,7 @@ def run_point(cfg: ExperimentConfig) -> PointResult:
         inputs = build_point_inputs(cfg)
     except ValueError as exc:
         return PointResult(params, error=str(exc))
-    acc = metrics.ThroughputAccumulator(T_prime=cfg.T_prime)
+    acc = metrics.ThroughputAccumulator()
     c_gammas: list[float] = []
     slacks: list[float] = []
     sides: tuple = ()

@@ -1,7 +1,7 @@
 """Achievable transmission schemes.
 
-Scenario 1 (equal throughput): the epoch T' splits into a TDMA half, where
-every served pair gets T'/(2N) seconds alone in the full band, and a
+Scenario 1 (equal throughput): the epoch splits into a TDMA half, where
+every served pair gets a 1/(2N) share of it alone in the full band, and a
 clustered half, where reuse-colored clusters round-robin their pairs, one
 active TX per cluster at a time.
 
@@ -37,12 +37,12 @@ class SlotResult:
 
     The link_* arrays are parallel, one row per active link, and each user is
     the rx of at most one link. link_res is the time-frequency resource each
-    link holds for airtime seconds on bandwidth Hz: a TDMA activation, or a
-    (round, color) pair of a clustered slot. Links are grouped by link_res,
-    and the first link of each resource is its max-power representative
-    (every link transmits at Pmax), which the transport-capacity bound relies
-    on. Resource keys restart in every slot. link_interference is the
-    co-channel interference at each receiver, zero in a TDMA slot.
+    link holds on bandwidth Hz for an airtime share of the epoch: a TDMA
+    activation, or a (round, color) pair of a clustered slot. Links are grouped
+    by link_res, and the first link of each resource is its max-power
+    representative (every link transmits at Pmax), which the transport-capacity
+    bound relies on. Resource keys restart in every slot. link_interference is
+    the co-channel interference at each receiver, zero in a TDMA slot.
     """
 
     label: str
@@ -75,7 +75,6 @@ class SchemeResult:
 
     n_users: int
     slots: list[SlotResult]
-    T_prime: float
 
     @property
     def per_user_bits(self) -> np.ndarray:
@@ -176,13 +175,12 @@ def _clustered_bits(
     pairing: PairingOutcome,
     grid: ClusterGrid,
     phy: PhyConfig,
-    duration: float,
     label: str,
 ) -> SlotResult:
-    """Round-robin reuse-colored delivery of the paired links.
+    """Round-robin reuse-colored delivery of the paired links in half the epoch.
 
     Every cluster activates its next pair each round; all active pairs hold
-    their color's sub-channel for duration/R_max seconds, R_max being the
+    their color's sub-channel for 0.5/R_max of the epoch, R_max being the
     largest per-cluster pair count.
     """
     bw = phy.subchannel_bandwidth
@@ -201,7 +199,7 @@ def _clustered_bits(
     counts = np.diff(np.concatenate((boundaries, [L])))
     rounds = np.arange(L, dtype=np.int64) - boundaries[segment_ids(boundaries, L)]
     r_max = int(counts.max())
-    airtime = duration / r_max
+    airtime = 0.5 / r_max
 
     colors = reuse_color(grid, phy.K)
     link_color = colors[cell_sorted]
@@ -226,11 +224,10 @@ def _tdma_bits(
     realization: NetworkRealization,
     pairing: PairingOutcome,
     phy: PhyConfig,
-    T_prime: float,
 ) -> SlotResult:
-    """Slot A: every served pair alone in the full band for T'/(2N) seconds."""
+    """Slot A: every served pair alone in the full band for 1/(2N) of the epoch."""
     L = pairing.n_links
-    airtime = T_prime / (2.0 * realization.n_users)
+    airtime = 1.0 / (2.0 * realization.n_users)
     return _rate_links(
         "tdma", pairing.rx, pairing.distance, np.zeros(L), np.arange(L), airtime, phy.B, None, phy
     )
@@ -240,7 +237,6 @@ def run_scenario1(
     realization: NetworkRealization,
     side: float,
     phy: PhyConfig,
-    T_prime: float,
 ) -> SchemeResult:
     """TDMA half plus clustered half over a single unsplit cache, clusters of
     target side `side`."""
@@ -248,9 +244,9 @@ def run_scenario1(
     grid = build_grid(grid_from_target_side(side), realization.positions)
     pairing = pair_within_clusters(realization, grid, caches)
 
-    slot_a = _tdma_bits(realization, pairing, phy, T_prime)
-    slot_b = _clustered_bits(realization, pairing, grid, phy, T_prime / 2.0, "cluster")
-    return SchemeResult(realization.n_users, [slot_a, slot_b], T_prime)
+    slot_a = _tdma_bits(realization, pairing, phy)
+    slot_b = _clustered_bits(realization, pairing, grid, phy, "cluster")
+    return SchemeResult(realization.n_users, [slot_a, slot_b])
 
 
 def run_scenario2(
@@ -258,7 +254,6 @@ def run_scenario2(
     side1: float,
     side2: float,
     phy: PhyConfig,
-    T_prime: float,
 ) -> SchemeResult:
     """Double time-slot delivery over a split cache.
 
@@ -272,7 +267,6 @@ def run_scenario2(
     pairing1 = pair_within_clusters(realization, grid1, caches1)
     pairing2 = pair_within_clusters(realization, grid2, caches2)
 
-    half = T_prime / 2.0
-    slot1 = _clustered_bits(realization, pairing1, grid1, phy, half, "cluster1")
-    slot2 = _clustered_bits(realization, pairing2, grid2, phy, half, "cluster2")
-    return SchemeResult(realization.n_users, [slot1, slot2], T_prime)
+    slot1 = _clustered_bits(realization, pairing1, grid1, phy, "cluster1")
+    slot2 = _clustered_bits(realization, pairing2, grid2, phy, "cluster2")
+    return SchemeResult(realization.n_users, [slot1, slot2])

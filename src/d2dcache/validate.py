@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, caching, runner
-from .config import DEFAULT_PHY, ExperimentConfig
+from .config import ExperimentConfig
 from .phy import PhyConfig, interference_upper_bound, sinr_floor
 from .popularity import PopularityModel, sample_request
 from .regimes import GAMMA_LT1
@@ -69,7 +69,7 @@ def check_sinr_floor(trial_ratios, seed: int) -> SuiteReport:
     ratios, i_ratios = np.asarray(trial_ratios, dtype=np.float64).T
     violations = int(np.sum(ratios < 1.0))
     i_violations = int(np.sum(i_ratios > 1.0))
-    phys = [PhyConfig(**{**DEFAULT_PHY, "K": k}) for k in (1, 2)]
+    phys = [PhyConfig(K=k) for k in (1, 2)]
     k1, k2 = (sinr_floor(0.2, phy, phy.Pmax, phy.Pmax) for phy in phys)
     within = f"above its bound in {i_violations}" if i_violations else "within its bound in all"
     return SuiteReport(

@@ -58,7 +58,7 @@ def family():
     of criteria 1, 5 and 6, and the throughput accumulator of criterion 9."""
     cfg = _config("outage_match.yaml", n_realizations=N_FAMILY, check_bounds=True)
     inputs = build_point_inputs(cfg)
-    acc = ThroughputAccumulator(T_prime=cfg.T_prime)
+    acc = ThroughputAccumulator()
     fracs, ratios, slacks = [], [], []
     for t, (res, _, slack) in enumerate(run_trials(cfg, inputs)):
         fracs.append(res.outage_fraction)

@@ -14,12 +14,14 @@ from d2dcache.analysis import fit_loglog
 from d2dcache.caching import closed_form_outage, finite_n_outage, optimize_policy
 from d2dcache.cli import main
 from d2dcache.config import (
+    ExperimentConfig,
     SweepSpec,
     config_from_dict,
     load_config,
     sweep_points,
 )
 from d2dcache.geometry import grid_from_target_side
+from d2dcache.phy import PhyConfig
 from d2dcache.regimes import REGIMES
 from d2dcache.runner import build_point_inputs, run, run_trial, write_artifact
 
@@ -37,6 +39,25 @@ BASE = {
     "n_realizations": 4,
     "base_seed": 91,
 }
+
+BAD_TYPES = [
+    ("check_bounds", "no"),
+    ("threads", "2"),
+    ("threads", 0),
+    ("n_realizations", 2.5),
+    ("N", "1e4"),  # YAML reads 1e4 as a string
+    ("N", True),
+    ("gamma", "0.6"),
+    ("base_seed", -1),  # PCG64 would reject it inside the first trial
+    ("sweep", [1, 2]),
+    ("phy", [1]),
+    ("q", math.nan),
+    ("q", math.inf),
+    ("C_sec", math.nan),
+    ("eps0", math.nan),
+]
+BAD_PHY = [("alpha", "4"), ("alpha", math.inf), ("chi", math.nan), ("N0", math.nan),
+           ("Pmax", math.inf)]
 
 
 def _write_cfg(tmp_path, name="cfg.yaml", **over):
@@ -67,29 +88,10 @@ def test_config_validation_errors():
     del missing["M"]
     with pytest.raises(ValueError):
         config_from_dict(missing)
-    bad_types = [
-        ("check_bounds", "no"),
-        ("threads", "2"),
-        ("threads", 0),
-        ("n_realizations", 2.5),
-        ("N", "1e4"),  # YAML reads 1e4 as a string
-        ("N", True),
-        ("gamma", "0.6"),
-        ("base_seed", -1),  # PCG64 would reject it inside the first trial
-        ("sweep", [1, 2]),
-        ("phy", [1]),
-        ("q", math.nan),
-        ("q", math.inf),
-        ("C_sec", math.nan),
-        ("T_prime", math.nan),
-        ("eps0", math.nan),
-    ]
-    for key, value in bad_types:
+    for key, value in BAD_TYPES:
         with pytest.raises(ValueError, match=key):
             config_from_dict({**BASE, key: value})
-    bad_phy = [("alpha", "4"), ("alpha", math.inf), ("chi", math.nan), ("N0", math.nan),
-               ("Pmax", math.inf)]
-    for key, value in bad_phy:
+    for key, value in BAD_PHY:
         with pytest.raises(ValueError, match=f"phy.{key}"):
             config_from_dict({**BASE, "phy": {key: value}})
     bad_sweeps = [
@@ -139,6 +141,63 @@ def test_sweep_spec_built_in_code_is_checked():
     with pytest.raises(ValueError, match="sweep.values must be numbers"):
         SweepSpec("M", (math.nan,))
     assert len(sweep_points(dataclasses.replace(cfg, sweep=SweepSpec("M", (50, 60))))) == 2
+
+
+def test_yaml_and_code_share_one_schema():
+    # a bad value fails with the same message whether it comes from YAML or
+    # from dataclasses.replace; a phy key only gains its "phy." prefix
+    cfg = config_from_dict(BASE)
+    for key, value in BAD_TYPES:
+        with pytest.raises(ValueError) as from_yaml:
+            config_from_dict({**BASE, key: value})
+        with pytest.raises(ValueError) as in_code:
+            dataclasses.replace(cfg, **{key: value})
+        assert str(from_yaml.value) == str(in_code.value)
+    for key, value in BAD_PHY:
+        with pytest.raises(ValueError) as from_yaml:
+            config_from_dict({**BASE, "phy": {key: value}})
+        with pytest.raises(ValueError) as in_code:
+            dataclasses.replace(cfg.phy, **{key: value})
+        assert str(from_yaml.value) == f"phy.{in_code.value}"
+
+
+def test_sweep_values_of_an_integer_parameter_are_integers():
+    for param, values in (("S", [1.4, 2.5]), ("M", [50.5, 51.5, 60.7]), ("N", [2000.0])):
+        with pytest.raises(ValueError, match=rf"sweep\.values must be integers to sweep {param}"):
+            config_from_dict({**BASE, "sweep": {"param": param, "values": values}})
+        with pytest.raises(ValueError, match=rf"sweep\.values must be integers to sweep {param}"):
+            SweepSpec(param, tuple(values))
+    # a coupled integer still rounds half to even: 50 * 1.01 = 50.5 -> 50
+    coupled = {"param": "q", "values": [1.01, 1.03], "couple": {"M": "50 * q"}}
+    assert [p.M for p in sweep_points(config_from_dict({**BASE, "sweep": coupled}))] == [50, 52]
+
+
+def test_only_null_or_absent_sections_take_the_default():
+    default = config_from_dict(BASE)
+    assert config_from_dict({**BASE, "phy": None, "sweep": None}) == default
+    for value in (0, False, "", []):
+        with pytest.raises(ValueError, match="^phy must be a PhyConfig"):
+            config_from_dict({**BASE, "phy": value})
+    for value in ([], 0, "", False):
+        with pytest.raises(ValueError, match="^sweep must be a SweepSpec"):
+            config_from_dict({**BASE, "sweep": value})
+    with pytest.raises(ValueError, match=r"^sweep\.param is missing"):
+        config_from_dict({**BASE, "sweep": {}})
+    for couple in ([], 0, ""):
+        with pytest.raises(ValueError, match=r"^sweep\.couple must be a mapping"):
+            config_from_dict({**BASE, "sweep": {"param": "M", "values": [50], "couple": couple}})
+    no_couple = config_from_dict({**BASE, "sweep": {"param": "M", "values": [50], "couple": None}})
+    assert no_couple.sweep.couple == {}
+
+
+def test_readme_config_example_is_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config file", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(block)
+    cfg = config_from_dict(raw)
+    assert cfg.phy == PhyConfig()
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} <= set(raw)
+    assert {f.name for f in dataclasses.fields(PhyConfig)} <= set(raw["phy"])
 
 
 def test_config_regime_warning():

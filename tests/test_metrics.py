@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from d2dcache.config import DEFAULT_PHY, ExperimentConfig
+from d2dcache.config import ExperimentConfig
 from d2dcache.geometry import build_realization
 from d2dcache.metrics import (
     ThroughputAccumulator,
@@ -19,7 +19,7 @@ from d2dcache.phy import PhyConfig, path_gain
 from d2dcache.runner import build_point_inputs
 from d2dcache.schemes import SchemeResult, SlotResult, run_scenario1, run_scenario2
 
-PHY = PhyConfig(**DEFAULT_PHY)
+PHY = PhyConfig()
 
 
 def _slot(distance, rate, res=None, rx=None, airtime=1.0, bandwidth=PHY.B):
@@ -42,28 +42,28 @@ def _slot(distance, rate, res=None, rx=None, airtime=1.0, bandwidth=PHY.B):
     )
 
 
-def _synthetic_result(bits, served, T_prime=1.0):
-    """One slot of unit airtime whose links reach the served users at rates
-    `bits`; the other users get nothing."""
+def _synthetic_result(bits, served, airtime=1.0):
+    """One slot whose links reach the served users at rates `bits` for an
+    airtime share of the epoch; the other users get nothing."""
     rx = np.flatnonzero(np.asarray(served, dtype=bool))
-    slot = _slot(np.zeros(len(rx)), np.asarray(bits, dtype=np.float64)[rx], rx=rx)
-    return SchemeResult(n_users=len(served), slots=[slot], T_prime=T_prime)
+    slot = _slot(np.zeros(len(rx)), np.asarray(bits, dtype=np.float64)[rx], rx=rx, airtime=airtime)
+    return SchemeResult(n_users=len(served), slots=[slot])
 
 
 def _third(R0, eps0=0.1):
     return PHY.B * math.log2(math.e) / eps0 * (eps0 / R0) * bound_constant(PHY.alpha)
 
 
-def estimate(results, T_prime):
-    acc = ThroughputAccumulator(T_prime=T_prime)
+def estimate(results):
+    acc = ThroughputAccumulator()
     for r in results:
         acc.add(r)
     return acc.finish()
 
 
 def test_estimate_single_uniform_realization():
-    res = _synthetic_result([5.0, 5.0, 5.0], [True] * 3, T_prime=2.0)
-    est = estimate([res], T_prime=2.0)
+    res = _synthetic_result([5.0, 5.0, 5.0], [True] * 3, airtime=0.5)
+    est = estimate([res])
     assert est.T_min_avg == pytest.approx(2.5)
     assert est.p_o_hat == 0.0
     assert est.n_realizations == 1
@@ -71,14 +71,14 @@ def test_estimate_single_uniform_realization():
 
 def test_estimate_all_outage():
     res = _synthetic_result([0.0, 0.0], [False, False])
-    est = estimate([res], T_prime=1.0)
+    est = estimate([res])
     assert est.T_min_avg == 0.0
     assert est.p_o_hat == 1.0
 
 
 def test_estimate_empty_errors():
     with pytest.raises(ValueError):
-        estimate([], T_prime=1.0)
+        estimate([])
 
 
 def test_estimate_permutation_invariant():
@@ -86,8 +86,8 @@ def test_estimate_permutation_invariant():
     results = [
         _synthetic_result(rng.random(10), rng.random(10) > 0.2) for _ in range(8)
     ]
-    a = estimate(results, 1.0)
-    b = estimate(list(reversed(results)), 1.0)
+    a = estimate(results)
+    b = estimate(list(reversed(results)))
     assert a.T_min_avg == pytest.approx(b.T_min_avg, rel=1e-12)
     assert a.p_o_hat == pytest.approx(b.p_o_hat, rel=1e-12)
 
@@ -95,7 +95,7 @@ def test_estimate_permutation_invariant():
 def test_estimate_index_symmetry():
     # iid per-user draws: index means stay within sampling noise of the mean
     rng = np.random.Generator(np.random.PCG64(11))
-    acc = ThroughputAccumulator(T_prime=1.0)
+    acc = ThroughputAccumulator()
     for _ in range(400):
         acc.add(_synthetic_result(rng.exponential(1.0, 50), np.ones(50, dtype=bool)))
     means = acc.per_index_means
@@ -104,18 +104,18 @@ def test_estimate_index_symmetry():
 
 
 def test_transport_capacity_values():
-    one = SchemeResult(1, [_slot([0.1], [100.0])], T_prime=1.0)
+    one = SchemeResult(1, [_slot([0.1], [100.0])])
     assert transport_capacity(one) == pytest.approx(10.0)
-    # airtime / T' scales each link's average rate
-    half = SchemeResult(1, [_slot([0.1], [100.0], airtime=0.5)], T_prime=2.0)
-    assert transport_capacity(half) == pytest.approx(2.5)
+    # a link's airtime share of the epoch scales its average rate
+    quarter = SchemeResult(1, [_slot([0.1], [100.0], airtime=0.25)])
+    assert transport_capacity(quarter) == pytest.approx(2.5)
     assert transport_capacity(_synthetic_result([], [])) == 0.0
-    assert transport_capacity(SchemeResult(0, [], 1.0)) == 0.0
+    assert transport_capacity(SchemeResult(0, [])) == 0.0
     rng = np.random.Generator(np.random.PCG64(0))
     d, c = rng.random(30), rng.random(30)
     perm = rng.permutation(30)
-    assert transport_capacity(SchemeResult(30, [_slot(d, c)], 1.0)) == pytest.approx(
-        transport_capacity(SchemeResult(30, [_slot(d[perm], c[perm])], 1.0)), rel=1e-12
+    assert transport_capacity(SchemeResult(30, [_slot(d, c)])) == pytest.approx(
+        transport_capacity(SchemeResult(30, [_slot(d[perm], c[perm])])), rel=1e-12
     )
 
 
@@ -129,7 +129,7 @@ def test_bound_single_full_band_link():
     # a large R0 keeps the third term small enough to see that
     r = 0.05
     snr = PHY.Pmax * path_gain(r, PHY) / (PHY.N0 * PHY.B)
-    res = SchemeResult(1, [_slot([r], [PHY.B * math.log2(1.0 + snr)])], T_prime=1.0)
+    res = SchemeResult(1, [_slot([r], [PHY.B * math.log2(1.0 + snr)])])
     assert transport_capacity(res) > 0.01
     slack = check_transport_bound(res, PHY, R0=1e4, eps0=0.1)
     assert slack == pytest.approx(_third(1e4), rel=1e-12)
@@ -139,14 +139,14 @@ def test_bound_short_link_term():
     """On one clustered resource, the representative enters through its
     noise-only transport, the link shorter than R0 through its own transport,
     and the link longer than R0 not at all."""
-    airtime, bw, R0, T_prime = 0.25, PHY.B / 4, 0.02, 2.0
+    airtime, bw, R0 = 0.125, PHY.B / 4, 0.02
     d = np.array([0.05, 0.01, 0.03])
     rates = np.array([0.5, 2.0, 0.7])
     slot = _slot(d, rates, res=[3, 3, 3], airtime=airtime, bandwidth=bw)
-    res = SchemeResult(3, [slot], T_prime=T_prime)
+    res = SchemeResult(3, [slot])
     snr_alone = PHY.Pmax * path_gain(0.05, PHY) / (PHY.N0 * bw)
-    cw = 0.05 * bw * math.log2(1.0 + snr_alone) * airtime / T_prime
-    cr0 = 0.01 * 2.0 * airtime / T_prime
+    cw = 0.05 * bw * math.log2(1.0 + snr_alone) * airtime
+    cr0 = 0.01 * 2.0 * airtime
     expected = cw + cr0 - transport_capacity(res)
     assert abs(expected) > 1e-3
     slack = check_transport_bound(res, PHY, R0, eps0=0.1)
@@ -164,7 +164,7 @@ def test_bound_holds_on_simulated_schedules(scheme):
     r0 = 0.1 * math.sqrt(rho * 100 / (S * N))
     for seed in range(20):
         realization = build_realization(inputs.model, inputs.policies, N, 7100 + seed)
-        res = run_scheme(realization, *inputs.sides, PHY, 1.0)
+        res = run_scheme(realization, *inputs.sides, PHY)
         assert len(res.slots) == 2 and all(s.n_links for s in res.slots)
         slack = check_transport_bound(res, PHY, r0, 0.1)
         assert slack >= 0, f"seed {seed}: C_gamma={transport_capacity(res)} slack={slack}"
@@ -186,7 +186,7 @@ def test_reductions_do_not_depend_on_blas_threads():
         "a, b = np.random.Generator(np.random.PCG64(1)).random((2, 2_000_000))\n"
         "d, r, z, ids = a[:200_000], b[:200_000], np.zeros(200_000), np.arange(200_000)\n"
         "slot = SlotResult('tdma', ids, d, r, z, ids, z, 1.0, 1.0, None)\n"
-        "print(repr(transport_capacity(SchemeResult(200_000, [slot], 1.0))))\n"
+        "print(repr(transport_capacity(SchemeResult(200_000, [slot]))))\n"
         "print(repr(closed_form_outage(NS(M=a.size, probs=a), NS(M=a.size, pmf_table=b), 3.0)))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"

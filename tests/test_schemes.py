@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dcache.caching import build_split_policy, closed_form_outage, optimize_policy
-from d2dcache.config import DEFAULT_PHY, ExperimentConfig
+from d2dcache.config import ExperimentConfig
 from d2dcache.geometry import (
     ClusterGrid,
     NetworkRealization,
@@ -26,7 +26,7 @@ from d2dcache.schemes import _clustered_bits, run_scenario1, run_scenario2
 from d2dcache.validate import check_outage_closed_form, check_sinr_floor, cluster_ratios
 from link_oracle import ActiveLink, ActiveSet, all_pairs_interference, link_rate
 
-PHY = PhyConfig(**DEFAULT_PHY)
+PHY = PhyConfig()
 
 
 def _config(**over):
@@ -78,7 +78,7 @@ def test_full_cache_never_outages():
     m = PopularityModel(M=4, gamma=0.7, q=0.0)
     policy = optimize_policy(m, 4, 10.0)
     realization = build_realization(m, (policy,), 500, 1)
-    res = run_scenario1(realization, _side(m, 4, 500, 2.0), PHY, 1.0)
+    res = run_scenario1(realization, _side(m, 4, 500, 2.0), PHY)
     assert res.outage_fraction == 0.0
     assert np.all(res.per_user_bits > 0)
 
@@ -87,7 +87,7 @@ def test_single_user_tdma_degenerate():
     m = PopularityModel(M=1, gamma=0.5, q=0.0)
     policy = optimize_policy(m, 1, 1.0)
     realization = build_realization(m, (policy,), 1, 0)
-    res = run_scenario1(realization, _side(m, 1, 1, 1.0), PHY, 1.0)
+    res = run_scenario1(realization, _side(m, 1, 1, 1.0), PHY)
     tdma = res.slot("tdma")
     # the lone user self-serves, full band, half the epoch, capped gain
     snr = PHY.Pmax * PHY.gain_cap / (PHY.B * PHY.N0)
@@ -118,11 +118,11 @@ def test_scenario1_equal_service_per_cycle():
     m = PopularityModel(M=50, gamma=0.7, q=5.0)
     policy = optimize_policy(m, 2, 50.0)
     realization = build_realization(m, (policy,), 2000, 8)
-    res = run_scenario1(realization, _side(m, 2, 2000, 2.0), PHY, 1.0)
+    res = run_scenario1(realization, _side(m, 2, 2000, 2.0), PHY)
     for label in ("tdma", "cluster"):
         rx = res.slot(label).link_rx
         assert len(np.unique(rx)) == len(rx)
-    # airtime equalization: per-activation share times max rounds fills T'/2
+    # airtime equalization: per-activation share times max rounds fills half the epoch
     slot = res.slot("cluster")
     rx_counts = np.bincount(res.slot("cluster").link_rx, minlength=2000)
     assert rx_counts.max() == 1
@@ -133,8 +133,8 @@ def test_scenario1_deterministic():
     m = PopularityModel(M=30, gamma=0.8, q=2.0)
     policy = optimize_policy(m, 2, 30.0)
     side = _side(m, 2, 1000, 2.0)
-    a = run_scenario1(build_realization(m, (policy,), 1000, 5), side, PHY, 1.0)
-    b = run_scenario1(build_realization(m, (policy,), 1000, 5), side, PHY, 1.0)
+    a = run_scenario1(build_realization(m, (policy,), 1000, 5), side, PHY)
+    b = run_scenario1(build_realization(m, (policy,), 1000, 5), side, PHY)
     assert np.array_equal(a.per_user_bits, b.per_user_bits)
 
 
@@ -174,7 +174,7 @@ def test_scenario2_requires_split_caches():
     realization = build_realization(m, (policy,), 500, 0)
     side = _side(m, 2, 500, 2.0)
     with pytest.raises(ValueError):
-        run_scenario2(realization, side, side, PHY, 1.0)
+        run_scenario2(realization, side, side, PHY)
 
 
 def test_scenario2_identical_construction_when_eps_one():
@@ -187,7 +187,7 @@ def test_scenario2_identical_construction_when_eps_one():
     assert np.array_equal(split[0].probs, split[1].probs)
     side = _side(m, S, N, rho)
     realization = build_realization(m, split, N, 23)
-    res = run_scenario2(realization, side, side, PHY, 1.0)
+    res = run_scenario2(realization, side, side, PHY)
     s1, s2 = res.slot("cluster1"), res.slot("cluster2")
     assert res.realized_cluster_sides[0] == res.realized_cluster_sides[1]
     assert s1.n_links == pytest.approx(s2.n_links, rel=0.05)
@@ -197,7 +197,7 @@ def test_scenario2_identical_construction_when_eps_one():
 
 def test_scenario2_slot2_links_shorter():
     inputs, realization = _scenario2_setup()
-    res = run_scenario2(realization, *inputs.sides, PHY, 1.0)
+    res = run_scenario2(realization, *inputs.sides, PHY)
     assert res.slot("cluster2").link_distance.mean() < res.slot("cluster1").link_distance.mean()
     d1, d2 = res.realized_cluster_sides
     assert d2 < d1
@@ -214,9 +214,9 @@ def test_scenario2_slot2_rate_and_total_advantage():
     rate1, rate2, t2tot, t1tot = [], [], [], []
     for seed in range(5):
         r2 = build_realization(in2.model, in2.policies, N, 900 + seed)
-        res2 = run_scenario2(r2, *in2.sides, PHY, 1.0)
+        res2 = run_scenario2(r2, *in2.sides, PHY)
         r1 = build_realization(in1.model, in1.policies, N, 900 + seed)
-        res1 = run_scenario1(r1, *in1.sides, PHY, 1.0)
+        res1 = run_scenario1(r1, *in1.sides, PHY)
         rate1.append(res2.slot("cluster1").link_rate.mean())
         rate2.append(res2.slot("cluster2").link_rate.mean())
         t2tot.append(res2.per_user_bits.mean())
@@ -229,7 +229,7 @@ def test_scenario2_outage_only_when_both_slots_miss():
     # a user is served iff the pairing of either slot's grid and cache block
     # reaches it, and exactly the served users carry bits
     inputs, realization = _scenario2_setup(N=10_000, seed=31)
-    res = run_scenario2(realization, *inputs.sides, PHY, 1.0)
+    res = run_scenario2(realization, *inputs.sides, PHY)
     reached = np.zeros(realization.n_users, dtype=bool)
     for side, caches in zip(inputs.sides, realization.caches):
         grid = build_grid(grid_from_target_side(side), realization.positions)
@@ -252,7 +252,7 @@ def test_per_user_bits_sum_the_slots_that_serve_each_user(scheme, N, seed):
     inputs = build_point_inputs(cfg)
     realization = build_realization(inputs.model, inputs.policies, N, seed)
     run = run_scenario2 if scheme == "scenario2" else run_scenario1
-    res = run(realization, *inputs.sides, PHY, 1.0)
+    res = run(realization, *inputs.sides, PHY)
     for slot in res.slots:
         assert len(np.unique(slot.link_rx)) == slot.n_links
     bits, served = res.per_user_bits, res.per_user_served
@@ -265,7 +265,7 @@ def test_per_user_bits_sum_the_slots_that_serve_each_user(scheme, N, seed):
 
 def test_scenario2_sinr_floor_both_slots():
     inputs, realization = _scenario2_setup(N=20_000, seed=57)
-    res = run_scenario2(realization, *inputs.sides, PHY, 1.0)
+    res = run_scenario2(realization, *inputs.sides, PHY)
     for label, side in zip(("cluster1", "cluster2"), res.realized_cluster_sides):
         slot = res.slot(label)
         floor = sinr_floor(side, PHY, PHY.Pmax, PHY.Pmax)
@@ -286,13 +286,13 @@ def test_scenario2_sinr_floor_both_slots():
 def test_clustered_rates_match_scalar_oracle(N, M, S, k, K, chi, ceiling, seed):
     # every (round, color) resource of a clustered slot, rebuilt as one oracle
     # ActiveSet: each link's rate is the scalar SINR rate among its companions
-    phy = PhyConfig(**{**DEFAULT_PHY, "K": K, "chi": chi, "sinr_ceiling": ceiling})
+    phy = PhyConfig(K=K, chi=chi, sinr_ceiling=ceiling)
     m = PopularityModel(M=M, gamma=0.6, q=1.0)
     S = min(S, M)
     realization = build_realization(m, (optimize_policy(m, S, N / k**2),), N, seed)
     grid = build_grid(k, realization.positions)
     pairing = pair_within_clusters(realization, grid, realization.caches[0])
-    slot = _clustered_bits(realization, pairing, grid, phy, 0.5, "cluster")
+    slot = _clustered_bits(realization, pairing, grid, phy, "cluster")
     tx_of = dict(zip(pairing.rx.tolist(), pairing.tx.tolist()))  # each rx once per slot
     assert len(tx_of) == slot.n_links
     for key in np.unique(slot.link_res):
@@ -326,7 +326,7 @@ def _synthetic_slot(counts, k, seed):
         tx=np.arange(L, 2 * L), rx=np.arange(L), distance=np.hypot(*(tx_pos - rx_pos).T)
     )
     grid = ClusterGrid(k=k, cell_id=users)
-    return realization, _clustered_bits(realization, pairing, grid, PHY, 0.5, "cluster")
+    return realization, _clustered_bits(realization, pairing, grid, PHY, "cluster")
 
 
 def _cell_counts(pattern, k, c, seed):
