@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .popularity import PopularityModel
+from .popularity import PopularityModel, _sorted_search
 
 SUM_TOL = 1e-9
 _MU_REL_TOL = 1e-12
@@ -147,9 +147,8 @@ def _interval_partition(probs: np.ndarray, S: int, offsets: np.ndarray) -> np.nd
     """
     edges = np.concatenate(([0.0], np.cumsum(probs)))
     edges[-1] = float(S)
-    points = offsets[:, None] + np.arange(S)[None, :]
-    files = np.searchsorted(edges, points.ravel(), side="right").reshape(-1, S)
-    return np.minimum(files, len(probs)).astype(np.int64)
+    files = _sorted_search(edges, offsets, S)
+    return np.minimum(files, len(probs), out=files)
 
 
 def place_caches_batch(policy: CachingPolicy, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -184,7 +183,10 @@ def place_split_caches_batch(
     slot1 = place_caches_batch(policy1, rng, n)
     slot2 = place_caches_batch(policy2, rng, n)
     for _ in range(_MAX_SPLIT_RETRIES):
-        clash = (slot2[:, :, None] == slot1[:, None, :]).any(axis=(1, 2))
+        clash = np.zeros(n, dtype=bool)
+        for file2 in slot2.T:
+            for file1 in slot1.T:
+                clash |= file2 == file1
         if not clash.any():
             return slot1, slot2
         redo = int(clash.sum())

@@ -60,9 +60,27 @@ class PopularityModel:
         return c
 
 
+def _sorted_search(table: np.ndarray, u: np.ndarray, S: int) -> np.ndarray:
+    """np.searchsorted(table, u[:, None] + np.arange(S), side="right") as an
+    (n, S) int64 array, searched in ascending query order.
+
+    Ascending queries walk the table forward, so the binary searches stay in
+    cache; each answer does not depend on the query order, so scattering the
+    answers back gives exactly the random-order result. u + j keeps the order
+    of u, so one argsort orders every column.
+    """
+    order = np.argsort(u)
+    u_sorted = u[order]
+    out = np.empty((len(u), S), dtype=np.int64)
+    for j in range(S):
+        out[order, j] = np.searchsorted(table, u_sorted + j, side="right")
+    return out
+
+
 def sample_request(model: PopularityModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw size file indices from the popularity law by inverse CDF, as an
     int64 array. Deterministic given the generator state: each draw consumes
     exactly one uniform."""
-    idx = np.searchsorted(model._cdf, rng.random(size), side="right") + 1
-    return np.minimum(idx, model.M).astype(np.int64)
+    idx = _sorted_search(model._cdf, rng.random(size), 1).reshape(size)
+    idx += 1
+    return np.minimum(idx, model.M, out=idx)

@@ -41,10 +41,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def cluster_ratios(result, phy: PhyConfig) -> tuple[float, float]:
-    """(min SINR / floor, max interference / ring bound) of the cluster slot
-    of one scenario-1 result; both are inf / 0 when no link was active."""
-    slot = result.slot("cluster")
+def cluster_ratios(result, phy: PhyConfig, label: str = "cluster") -> tuple[float, float]:
+    """(min SINR / floor, max interference / ring bound) of one clustered slot
+    of a result, at that slot's own realized side: "cluster" of scenario 1,
+    "cluster1" or "cluster2" of scenario 2. Both are inf / 0 when no link was
+    active."""
+    slot = result.slot(label)
     floor = sinr_floor(slot.cluster_side, phy, phy.Pmax, phy.Pmax)
     bound = interference_upper_bound(slot.cluster_side, phy, phy.Pmax)
     return slot.min_sinr / floor, slot.max_interference / bound

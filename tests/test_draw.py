@@ -1,0 +1,152 @@
+"""The realization draw: sorted inverse-CDF searches equal plain random-order
+searches, each draw consumes one uniform, and pinned seeds pin the draw."""
+
+import hashlib
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from d2dcache import caching
+from d2dcache.caching import (
+    _interval_partition,
+    build_split_policy,
+    optimize_policy,
+    place_caches_batch,
+)
+from d2dcache.geometry import build_realization
+from d2dcache.popularity import PopularityModel, _sorted_search, sample_request
+
+BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _edge_queries(table: np.ndarray, S: int) -> np.ndarray:
+    """Offsets in [0, 1) whose points u + j land on a table entry or one ulp
+    either side of it, for every column j < S, plus 0.0 and the largest
+    double below 1.0."""
+    shifted = np.concatenate([table - j for j in range(S)])
+    near = np.concatenate([shifted, np.nextafter(shifted, -np.inf), np.nextafter(shifted, np.inf)])
+    near = np.concatenate([near, [0.0, BELOW_ONE]])
+    return near[(near >= 0.0) & (near < 1.0)]
+
+
+@st.composite
+def _queries(draw, table: np.ndarray, S: int) -> np.ndarray:
+    """An odd number of offsets, mixing edge queries and plain uniforms."""
+    edges = _edge_queries(table, S)
+    picks = draw(st.lists(st.one_of(
+        st.sampled_from(edges.tolist()),
+        st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
+    ), min_size=1, max_size=60))
+    return np.array(picks[: len(picks) - 1 + len(picks) % 2], dtype=np.float64)
+
+
+@st.composite
+def _policies(draw) -> caching.CachingPolicy:
+    """Water-filled policies: steep laws with small occupancy leave flat runs
+    of Pc = 0 files, large occupancy saturates files at Pc = 1, and S = M
+    caches every file."""
+    M = draw(st.integers(1, 40))
+    S = draw(st.integers(1, min(4, M)))
+    model = PopularityModel(M=M, gamma=draw(st.floats(0.0, 4.0)), q=draw(st.floats(0.0, 10.0)))
+    return optimize_policy(model, S, draw(st.floats(0.05, 2000.0)))
+
+
+def _sizes(u: np.ndarray):
+    # sizes 0, 1 and the odd full length
+    return u[:0], u[:1], u
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), table=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1 / 3, 0.75, 1.0, 1.5, 3.0]),
+                                      min_size=1, max_size=12),
+       S=st.integers(1, 4))
+def test_sorted_search_equals_plain_searchsorted(data, table, S):
+    # ties in the table are flat runs of equal edges
+    table = np.sort(np.array(table))
+    for u in _sizes(data.draw(_queries(table, S))):
+        expect = np.searchsorted(table, u[:, None] + np.arange(S), side="right")
+        got = _sorted_search(table, u, S)
+        assert got.dtype == np.int64 and got.shape == (len(u), S)
+        assert np.array_equal(got, expect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), policy=_policies())
+def test_interval_partition_equals_plain_searchsorted(data, policy):
+    S, M = policy.cache_size, policy.M
+    edges = np.concatenate(([0.0], np.cumsum(policy.probs)))
+    edges[-1] = float(S)
+    for u in _sizes(data.draw(_queries(edges, S))):
+        points = (u[:, None] + np.arange(S)[None, :]).ravel()
+        expect = np.minimum(np.searchsorted(edges, points, side="right").reshape(-1, S), M)
+        got = _interval_partition(policy.probs, S, u)
+        assert got.dtype == np.int64 and got.shape == (len(u), S)
+        assert np.array_equal(got, expect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), M=st.integers(1, 60), gamma=st.floats(0.0, 40.0), q=st.floats(0.0, 10.0))
+def test_sample_request_equals_plain_searchsorted(data, M, gamma, q):
+    # a steep law rounds the tail of the CDF to a flat run of 1.0
+    model = PopularityModel(M=M, gamma=gamma, q=q)
+    cdf = model._cdf
+    for u in _sizes(data.draw(_queries(cdf, 1))):
+        expect = np.minimum(np.searchsorted(cdf, u, side="right") + 1, M)
+        got = sample_request(model, SimpleNamespace(random=lambda size: u), len(u))
+        assert got.dtype == np.int64 and got.shape == (len(u),)
+        assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_each_draw_consumes_one_uniform(n):
+    # trial seeds pin a realization only if every draw takes exactly one
+    # uniform from the stream
+    model = PopularityModel(M=50, gamma=0.8, q=2.0)
+    policy = optimize_policy(model, 3, 20.0)
+    for draw in (lambda rng: sample_request(model, rng, n),
+                 lambda rng: place_caches_batch(policy, rng, n)):
+        rng = np.random.Generator(np.random.PCG64(99))
+        twin = np.random.Generator(np.random.PCG64(99))
+        draw(rng)
+        twin.random(n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _digest(realization) -> str:
+    h = hashlib.sha256()
+    for a in (realization.positions, realization.requests, *realization.caches):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of positions, requests and every cache block of N = 1001 users,
+# recorded before the draw searched in sorted order
+PINNED_DRAWS = {
+    ("single", 3): "fa2ec33aaf1f75ae510c4e77146f423bfae75ec3a2b8280212464e1e2a876e07",
+    ("single", 41): "815c4371efbd81bbe50d10577544464a2c918f15ac8b34ea954fe31cfac8061a",
+    ("split", 3): "84bc04557cda524ea96746acfe0442bf37c651836773798b4cd02ad241baff06",
+    ("split", 41): "dc7771167ab6dbbe29588588f3c6757d4313ab3e52a20f016e25f3576f2c97f8",
+}
+
+
+@pytest.mark.parametrize("cache, seed", sorted(PINNED_DRAWS))
+def test_pinned_draw_digests(cache, seed, monkeypatch):
+    if cache == "single":
+        model = PopularityModel(M=200, gamma=0.6, q=5.0)
+        policies = (optimize_policy(model, 3, 40.0),)
+    else:
+        # a 30-file library with a concentrated slot-2 policy: many of the
+        # first slot-2 draws clash with slot 1 and are drawn again
+        model = PopularityModel(M=30, gamma=0.8, q=1.0)
+        policies = build_split_policy(model, 4, 40.0, 6.0)
+    sizes = []
+    place = caching.place_caches_batch
+    monkeypatch.setattr(caching, "place_caches_batch",
+                        lambda policy, rng, n: sizes.append(n) or place(policy, rng, n))
+    realization = build_realization(model, policies, 1001, seed)
+    assert _digest(realization) == PINNED_DRAWS[cache, seed]
+    if cache == "split":
+        assert sizes[:2] == [1001, 1001] and len(sizes) > 2  # at least one clash retry

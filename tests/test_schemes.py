@@ -18,7 +18,7 @@ from d2dcache.geometry import (
     grid_from_target_side,
     pair_within_clusters,
 )
-from d2dcache.phy import PhyConfig, sinr_floor
+from d2dcache.phy import PhyConfig
 from d2dcache.popularity import PopularityModel
 from d2dcache.regimes import REGIMES
 from d2dcache.runner import build_point_inputs, run_trials
@@ -264,12 +264,20 @@ def test_per_user_bits_sum_the_slots_that_serve_each_user(scheme, N, seed):
 
 
 def test_scenario2_sinr_floor_both_slots():
-    inputs, realization = _scenario2_setup(N=20_000, seed=57)
-    res = run_scenario2(realization, *inputs.sides, PHY)
-    for label, side in zip(("cluster1", "cluster2"), res.realized_cluster_sides):
-        slot = res.slot(label)
-        floor = sinr_floor(side, PHY, PHY.Pmax, PHY.Pmax)
-        assert slot.min_sinr >= floor
+    # each clustered slot of the first points of both scaling sweeps stays
+    # above the SINR floor and below the ring interference bound, each at
+    # its own realized side
+    for cfg in (
+        _config(scheme="scenario2", regime="gamma_lt1", N=12_800, M=256, q=10.0, S=4,
+                rho_or_alpha1=4.0, C_sec=4.0, n_realizations=4, base_seed=31_000),
+        _config(scheme="scenario2", regime="gamma_gt1", N=12_800, M=3200, q=64.0, S=4,
+                gamma=1.5, rho_or_alpha1=4.0, C_sec=4.0, n_realizations=4, base_seed=32_000),
+    ):
+        results = [res for res, _, _ in run_trials(cfg, build_point_inputs(cfg))]
+        for label in ("cluster1", "cluster2"):
+            ratios = [cluster_ratios(res, cfg.phy, label) for res in results]
+            report = check_sinr_floor(ratios, cfg.base_seed)
+            assert report.passed and report.n_checks == 4, (cfg.regime, label, report.detail)
 
 
 @settings(max_examples=40, deadline=None)
