@@ -143,12 +143,12 @@ def _interval_partition(probs: np.ndarray, S: int, offsets: np.ndarray) -> np.nd
     Each interval has length <= 1 and the points are spaced exactly 1 apart,
     so the S selected files are distinct and the marginal inclusion
     probability of file f is exactly Pc(f). offsets is one uniform in [0,1)
-    per draw; returns an (n, S) int64 array of 1-based file indices.
+    per draw; returns an (n, S) int64 array of 1-based file indices. Every
+    point stays below the last edge S, so no index exceeds M.
     """
     edges = np.concatenate(([0.0], np.cumsum(probs)))
     edges[-1] = float(S)
-    files = _sorted_search(edges, offsets, S)
-    return np.minimum(files, len(probs), out=files)
+    return _sorted_search(edges, offsets, S)
 
 
 def place_caches_batch(policy: CachingPolicy, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -182,15 +182,18 @@ def place_split_caches_batch(
     policy1, policy2 = policies
     slot1 = place_caches_batch(policy1, rng, n)
     slot2 = place_caches_batch(policy2, rng, n)
+    # only the rows drawn again can clash, so each pass tests just those
+    rows, block1, block2 = np.arange(n), slot1, slot2
     for _ in range(_MAX_SPLIT_RETRIES):
-        clash = np.zeros(n, dtype=bool)
-        for file2 in slot2.T:
-            for file1 in slot1.T:
+        clash = np.zeros(len(rows), dtype=bool)
+        for file2 in block2.T:
+            for file1 in block1.T:
                 clash |= file2 == file1
-        if not clash.any():
+        rows = rows[clash]
+        if not len(rows):
             return slot1, slot2
-        redo = int(clash.sum())
-        slot2[clash] = place_caches_batch(policy2, rng, redo)
+        block1, block2 = slot1[rows], place_caches_batch(policy2, rng, len(rows))
+        slot2[rows] = block2
     raise RuntimeError(
         "could not draw disjoint cache subspaces; the two sub-policies "
         "force overlapping saturated files"

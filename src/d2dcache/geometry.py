@@ -89,8 +89,6 @@ def place_users(N: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_grid(k: int, positions: np.ndarray) -> ClusterGrid:
-    if k < 1:
-        raise ValueError(f"grid needs k >= 1, got {k}")
     cx = np.minimum((positions[:, 0] * k).astype(np.int64), k - 1)
     cy = np.minimum((positions[:, 1] * k).astype(np.int64), k - 1)
     return ClusterGrid(k=k, cell_id=cx * k + cy)

@@ -33,31 +33,37 @@ class ThroughputOutageEstimate:
             raise ValueError("throughput cannot be negative")
 
 
+def mean_se(values) -> tuple[float, float]:
+    """Mean of per-trial values and its standard error, 0 for one trial."""
+    v = np.asarray(values, dtype=np.float64)
+    se = float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
+    return float(v.mean()), se
+
+
 @dataclass
 class ThroughputAccumulator:
-    """Streaming reduction over realizations; deterministic when results are
-    added in a fixed (trial-index) order."""
+    """The one reduction of a point's trials, added in trial order so that it
+    is deterministic: per-user throughput sums, and per trial the outage
+    fraction, the network mean throughput, C_gamma and the transport-bound
+    slack (NaN when unchecked), scalars only."""
 
-    n_users: int = 0
-    n_real: int = 0
     sum_t: np.ndarray = field(default_factory=lambda: np.empty(0))
     sum_t2: np.ndarray = field(default_factory=lambda: np.empty(0))
-    outage_fracs: list = field(default_factory=list)
-    net_means: list = field(default_factory=list)
+    trials: list = field(default_factory=list)
 
-    def add(self, result: SchemeResult) -> None:
+    def add(self, result: SchemeResult, c_gamma: float, slack: float) -> None:
         t = result.per_user_bits
-        if self.n_real == 0:
-            self.n_users = result.n_users
-            self.sum_t = np.zeros(self.n_users)
-            self.sum_t2 = np.zeros(self.n_users)
-        elif result.n_users != self.n_users:
+        if not self.trials:
+            self.sum_t, self.sum_t2 = np.zeros(len(t)), np.zeros(len(t))
+        elif len(t) != len(self.sum_t):
             raise ValueError("all realizations must have the same number of users")
         self.sum_t += t
         self.sum_t2 += t * t
-        self.outage_fracs.append(result.outage_fraction)
-        self.net_means.append(float(t.mean()))
-        self.n_real += 1
+        self.trials.append((result.outage_fraction, float(t.mean()), c_gamma, slack))
+
+    @property
+    def n_real(self) -> int:
+        return len(self.trials)
 
     @property
     def per_index_means(self) -> np.ndarray:
@@ -71,24 +77,25 @@ class ThroughputAccumulator:
             return np.zeros_like(m)
         return np.maximum(self.sum_t2 / n - m * m, 0.0) * n / (n - 1)
 
-    def finish(self) -> ThroughputOutageEstimate:
-        if self.n_real == 0:
+    def finish(self) -> tuple[ThroughputOutageEstimate, float, float]:
+        """The estimate, the mean C_gamma and the smallest slack over trials."""
+        if not self.trials:
             raise ValueError("cannot estimate from zero realizations")
         means = self.per_index_means
         u_min = int(np.argmin(means))
         n = self.n_real
         se_tmin = math.sqrt(self.per_index_vars[u_min] / n) if n > 1 else 0.0
-        po = np.asarray(self.outage_fracs)
-        se_po = float(po.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        nm = np.asarray(self.net_means)
-        se_mean = float(nm.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return ThroughputOutageEstimate(
+        outage, net_mean, c_gamma, slack = np.array(self.trials).T
+        p_o, se_po = mean_se(outage)
+        mean_t, se_mean = mean_se(net_mean)
+        estimate = ThroughputOutageEstimate(
             T_min_avg=float(means[u_min]),
-            p_o_hat=float(po.mean()),
+            p_o_hat=p_o,
             n_realizations=n,
             std_errors={"T_min_avg": se_tmin, "p_o_hat": se_po, "mean_throughput": se_mean},
-            mean_throughput=float(nm.mean()),
+            mean_throughput=mean_t,
         )
+        return estimate, float(c_gamma.mean()), float(slack.min())
 
 
 def _concat(parts: list, dtype=np.float64) -> np.ndarray:

@@ -62,7 +62,10 @@ class PopularityModel:
 
 def _sorted_search(table: np.ndarray, u: np.ndarray, S: int) -> np.ndarray:
     """np.searchsorted(table, u[:, None] + np.arange(S), side="right") as an
-    (n, S) int64 array, searched in ascending query order.
+    (n, S) int64 array, searched in ascending query order, with every point
+    u + j kept below j + 1. Where u + j rounds up to j + 1 (u = 1 - 2^-53
+    does for every j >= 1), the point is the largest double below j + 1; no
+    double lies between it and the exact sum, so it finds the same interval.
 
     Ascending queries walk the table forward, so the binary searches stay in
     cache; each answer does not depend on the query order, so scattering the
@@ -73,14 +76,17 @@ def _sorted_search(table: np.ndarray, u: np.ndarray, S: int) -> np.ndarray:
     u_sorted = u[order]
     out = np.empty((len(u), S), dtype=np.int64)
     for j in range(S):
-        out[order, j] = np.searchsorted(table, u_sorted + j, side="right")
+        point = u_sorted + j
+        np.minimum(point, np.nextafter(j + 1.0, 0.0), out=point)
+        out[order, j] = np.searchsorted(table, point, side="right")
     return out
 
 
 def sample_request(model: PopularityModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw size file indices from the popularity law by inverse CDF, as an
     int64 array. Deterministic given the generator state: each draw consumes
-    exactly one uniform."""
+    exactly one uniform. The CDF ends at 1.0, above every uniform, so no
+    index exceeds M."""
     idx = _sorted_search(model._cdf, rng.random(size), 1).reshape(size)
     idx += 1
-    return np.minimum(idx, model.M, out=idx)
+    return idx

@@ -14,8 +14,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import analysis, caching, metrics, schemes
 from .config import ExperimentConfig, config_to_dict, sweep_points, swept_param_names
 from .geometry import build_realization, grid_from_target_side
@@ -27,7 +25,9 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class PointResult:
-    """One sweep point; a failed point keeps every default but its error."""
+    """One sweep point; a failed point keeps every default but its error.
+    cluster_sides holds the realized side 1/k of each clustered slot, the
+    same in every trial."""
 
     params: dict
     estimate: metrics.ThroughputOutageEstimate | None = None
@@ -132,27 +132,12 @@ def run_point(cfg: ExperimentConfig) -> PointResult:
     except ValueError as exc:
         return PointResult(params, error=str(exc))
     acc = metrics.ThroughputAccumulator()
-    c_gammas: list[float] = []
-    slacks: list[float] = []
-    sides: tuple = ()
-    for result, c_gamma, slack in run_trials(cfg, inputs):
-        acc.add(result)
-        c_gammas.append(c_gamma)
-        slacks.append(slack)
-        sides = result.realized_cluster_sides
-    est = acc.finish()
-    slack_min = math.nan
-    if cfg.check_bounds:
-        slack_min = float(np.nanmin(slacks)) if slacks else math.nan
-    return PointResult(
-        params=params,
-        estimate=est,
-        c_gamma_mean=float(np.mean(c_gammas)),
-        bound_slack_min=slack_min,
-        closed_form_outage=inputs.closed_form,
-        epsilon=inputs.epsilon,
-        cluster_sides=sides,
-    )
+    for trial in run_trials(cfg, inputs):
+        acc.add(*trial)
+    estimate, c_gamma_mean, bound_slack_min = acc.finish()
+    cluster_sides = tuple(1.0 / grid_from_target_side(s) for s in inputs.sides)
+    return PointResult(params, estimate, c_gamma_mean, bound_slack_min,
+                       inputs.closed_form, inputs.epsilon, cluster_sides)
 
 
 def run(cfg: ExperimentConfig) -> ResultArtifact:

@@ -91,10 +91,6 @@ class SchemeResult:
         return served
 
     @property
-    def realized_cluster_sides(self) -> tuple[float, ...]:
-        return tuple(s.cluster_side for s in self.slots if s.cluster_side is not None)
-
-    @property
     def outage_fraction(self) -> float:
         return 1.0 - float(self.per_user_served.mean())
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import analysis, caching, runner
 from .config import ExperimentConfig
+from .metrics import mean_se
 from .phy import PhyConfig, interference_upper_bound, sinr_floor
 from .popularity import PopularityModel, sample_request
 from .regimes import GAMMA_LT1
@@ -54,14 +55,13 @@ def cluster_ratios(result, phy: PhyConfig, label: str = "cluster") -> tuple[floa
 
 def check_outage_closed_form(fracs, closed_form: float, seed: int) -> SuiteReport:
     """Mean per-trial outage fraction within 3 SE of the closed form."""
-    fr = np.asarray(fracs)
-    se = float(fr.std(ddof=1) / math.sqrt(len(fr)))
-    gap = abs(float(fr.mean()) - closed_form)
+    mean, se = mean_se(fracs)
+    gap = abs(mean - closed_form)
     return SuiteReport(
         "outage_closed_form_match", gap <= 3.0 * se,
         f"|empirical - closed-form| = {gap:.2e} vs 3 SE = {3 * se:.2e} "
-        f"(closed {closed_form:.6f}, empirical {fr.mean():.6f}, {len(fr)} realizations)",
-        len(fr), seed,
+        f"(closed {closed_form:.6f}, empirical {mean:.6f}, {len(fracs)} realizations)",
+        len(fracs), seed,
     )
 
 

@@ -60,12 +60,12 @@ def family():
     inputs = build_point_inputs(cfg)
     acc = ThroughputAccumulator()
     fracs, ratios, slacks = [], [], []
-    for t, (res, _, slack) in enumerate(run_trials(cfg, inputs)):
+    for t, (res, c_gamma, slack) in enumerate(run_trials(cfg, inputs)):
         fracs.append(res.outage_fraction)
         ratios.append(cluster_ratios(res, cfg.phy))
         slacks.append(slack)
         if t < N_CRIT9:
-            acc.add(res)
+            acc.add(res, c_gamma, slack)
     return {
         "cfg": cfg, "acc": acc,
         1: check_outage_closed_form(fracs[:N_CRIT1], inputs.closed_form, cfg.base_seed),

@@ -59,6 +59,15 @@ def _sizes(u: np.ndarray):
     return u[:0], u[:1], u
 
 
+def _points(u: np.ndarray, S: int) -> np.ndarray:
+    """u + j for every column j, except where u + j rounds up to j + 1
+    (u = 1 - 2^-53 does for j >= 1): there the point is the largest double
+    below j + 1."""
+    j = np.arange(S)
+    points = u[:, None] + j
+    return np.where(points == j + 1, np.nextafter(j + 1.0, 0.0), points)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), table=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1 / 3, 0.75, 1.0, 1.5, 3.0]),
                                       min_size=1, max_size=12),
@@ -67,7 +76,7 @@ def test_sorted_search_equals_plain_searchsorted(data, table, S):
     # ties in the table are flat runs of equal edges
     table = np.sort(np.array(table))
     for u in _sizes(data.draw(_queries(table, S))):
-        expect = np.searchsorted(table, u[:, None] + np.arange(S), side="right")
+        expect = np.searchsorted(table, _points(u, S), side="right")
         got = _sorted_search(table, u, S)
         assert got.dtype == np.int64 and got.shape == (len(u), S)
         assert np.array_equal(got, expect)
@@ -80,11 +89,23 @@ def test_interval_partition_equals_plain_searchsorted(data, policy):
     edges = np.concatenate(([0.0], np.cumsum(policy.probs)))
     edges[-1] = float(S)
     for u in _sizes(data.draw(_queries(edges, S))):
-        points = (u[:, None] + np.arange(S)[None, :]).ravel()
-        expect = np.minimum(np.searchsorted(edges, points, side="right").reshape(-1, S), M)
+        # no clamp to file M: every point stays below the last edge
+        expect = np.searchsorted(edges, _points(u, S), side="right")
         got = _interval_partition(policy.probs, S, u)
         assert got.dtype == np.int64 and got.shape == (len(u), S)
         assert np.array_equal(got, expect)
+        assert np.all((got >= 1) & (got <= M))
+
+
+@pytest.mark.parametrize("probs, files", [
+    ([1.0, 1.0, 1.0], [1, 2, 3]),
+    ([1.0, 0.5, 0.5, 1.0], [1, 3, 4]),
+])
+def test_interval_partition_distinct_at_largest_offset(probs, files):
+    # at u = 1 - 2^-53, u + 1 and u + 2 round up to 2 and 3; each point must
+    # still land in its own interval, not in the next one or on file M twice
+    got = _interval_partition(np.array(probs), 3, np.array([BELOW_ONE]))
+    assert got.tolist() == [files]
 
 
 @settings(max_examples=150, deadline=None)
@@ -94,7 +115,8 @@ def test_sample_request_equals_plain_searchsorted(data, M, gamma, q):
     model = PopularityModel(M=M, gamma=gamma, q=q)
     cdf = model._cdf
     for u in _sizes(data.draw(_queries(cdf, 1))):
-        expect = np.minimum(np.searchsorted(cdf, u, side="right") + 1, M)
+        # no clamp to file M: the CDF ends at 1.0, above every uniform
+        expect = np.searchsorted(cdf, u, side="right") + 1
         got = sample_request(model, SimpleNamespace(random=lambda size: u), len(u))
         assert got.dtype == np.int64 and got.shape == (len(u),)
         assert np.array_equal(got, expect)

@@ -23,7 +23,14 @@ from d2dcache.config import (
 from d2dcache.geometry import grid_from_target_side
 from d2dcache.phy import PhyConfig
 from d2dcache.regimes import REGIMES
-from d2dcache.runner import build_point_inputs, run, run_trial, write_artifact
+from d2dcache.runner import (
+    build_point_inputs,
+    run,
+    run_point,
+    run_trial,
+    run_trials,
+    write_artifact,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -264,9 +271,48 @@ def test_point_inputs_share_one_occupancy(regime, scheme, over):
     assert inputs.closed_form == closed
     # the trial's grids are built from exactly these sides
     result, _, _ = run_trial(cfg, inputs, 0)
-    assert result.realized_cluster_sides == tuple(
-        1.0 / grid_from_target_side(s) for s in inputs.sides
+    realized = tuple(s.cluster_side for s in result.slots if s.cluster_side is not None)
+    assert realized == tuple(1.0 / grid_from_target_side(s) for s in inputs.sides)
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"check_bounds": True},
+        {"scheme": "scenario2", "N": 20000, "M": 200, "rho_or_alpha1": 4.0, "n_realizations": 5},
+    ],
+)
+def test_run_point_is_numpy_over_its_trials(over):
+    cfg = config_from_dict({**BASE, **over})
+    point = run_point(cfg)
+    trials = list(run_trials(cfg, build_point_inputs(cfg)))
+    n = len(trials)
+    outage = np.array([res.outage_fraction for res, _, _ in trials])
+    net_mean = np.array([res.per_user_bits.mean() for res, _, _ in trials])
+    bits = np.array([res.per_user_bits for res, _, _ in trials])
+    c_gamma, slack = (np.array([trial[i] for trial in trials]) for i in (1, 2))
+
+    est = point.estimate
+    assert est.n_realizations == n == cfg.n_realizations
+    assert est.p_o_hat == outage.mean()
+    assert est.std_errors["p_o_hat"] == outage.std(ddof=1) / math.sqrt(n)
+    assert est.mean_throughput == net_mean.mean()
+    assert est.std_errors["mean_throughput"] == net_mean.std(ddof=1) / math.sqrt(n)
+    u_min = int(np.argmin(bits.mean(axis=0)))
+    assert est.T_min_avg == bits.mean(axis=0)[u_min]
+    assert est.std_errors["T_min_avg"] == pytest.approx(
+        bits[:, u_min].std(ddof=1) / math.sqrt(n), rel=1e-9
     )
+    assert point.c_gamma_mean == c_gamma.mean()
+    if cfg.check_bounds:
+        assert point.bound_slack_min == slack.min() and np.all(np.isfinite(slack))
+    else:
+        assert math.isnan(point.bound_slack_min) and np.all(np.isnan(slack))
+    # the point's sides are every trial's clustered sides
+    for res, _, _ in trials:
+        clustered = tuple(s.cluster_side for s in res.slots if s.cluster_side is not None)
+        assert clustered == point.cluster_sides
+    assert len(point.cluster_sides) == (2 if cfg.scheme == "scenario2" else 1)
 
 
 def test_run_single_point_artifact(tmp_path):

@@ -57,8 +57,8 @@ def _third(R0, eps0=0.1):
 def estimate(results):
     acc = ThroughputAccumulator()
     for r in results:
-        acc.add(r)
-    return acc.finish()
+        acc.add(r, transport_capacity(r), math.nan)
+    return acc.finish()[0]
 
 
 def test_estimate_single_uniform_realization():
@@ -97,7 +97,7 @@ def test_estimate_index_symmetry():
     rng = np.random.Generator(np.random.PCG64(11))
     acc = ThroughputAccumulator()
     for _ in range(400):
-        acc.add(_synthetic_result(rng.exponential(1.0, 50), np.ones(50, dtype=bool)))
+        acc.add(_synthetic_result(rng.exponential(1.0, 50), np.ones(50, dtype=bool)), 0.0, math.nan)
     means = acc.per_index_means
     noise = math.sqrt(float(acc.per_index_vars.mean()) / acc.n_real)
     assert float(means.std()) <= 3.0 * noise

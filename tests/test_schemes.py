@@ -189,7 +189,7 @@ def test_scenario2_identical_construction_when_eps_one():
     realization = build_realization(m, split, N, 23)
     res = run_scenario2(realization, side, side, PHY)
     s1, s2 = res.slot("cluster1"), res.slot("cluster2")
-    assert res.realized_cluster_sides[0] == res.realized_cluster_sides[1]
+    assert s1.cluster_side == s2.cluster_side
     assert s1.n_links == pytest.approx(s2.n_links, rel=0.05)
     bits1, bits2 = (np.sum(s.link_rate * s.airtime) for s in (s1, s2))
     assert bits1 == pytest.approx(bits2, rel=0.10)
@@ -199,7 +199,7 @@ def test_scenario2_slot2_links_shorter():
     inputs, realization = _scenario2_setup()
     res = run_scenario2(realization, *inputs.sides, PHY)
     assert res.slot("cluster2").link_distance.mean() < res.slot("cluster1").link_distance.mean()
-    d1, d2 = res.realized_cluster_sides
+    d1, d2 = (res.slot(label).cluster_side for label in ("cluster1", "cluster2"))
     assert d2 < d1
     assert res.slot("cluster2").link_distance.max() <= math.sqrt(2) * d2 + 1e-12
 
