@@ -173,15 +173,16 @@ def _nearest_candidate_links(
     c = run_len[run]
     starts = np.cumsum(c) - c
     total = int(starts[-1] + c[-1])
-    # candidate row i belongs to request seg[i] and is holder row hold[i]
+    # candidate row i belongs to request seg[i] and is user holder[i]
     seg = segment_ids(starts, total)
     row = np.arange(total)
     hold = (run_start[run] - starts)[seg]
     hold += row
-    d2 = positions[sowner, 0][hold]
+    holder = sowner[hold]
+    d2 = positions[holder, 0]
     d2 -= positions[rx, 0][seg]
     np.square(d2, out=d2)
-    dy = positions[sowner, 1][hold]
+    dy = positions[holder, 1]
     dy -= positions[rx, 1][seg]
     np.square(dy, out=dy)
     d2 += dy
@@ -190,7 +191,7 @@ def _nearest_candidate_links(
     best = np.minimum.reduceat(d2, starts)
     at_best = np.where(d2 == best[seg], row, total)
     tx = np.full(n, -1, dtype=np.int64)
-    tx[rx] = sowner[hold[np.minimum.reduceat(at_best, starts)]]
+    tx[rx] = holder[np.minimum.reduceat(at_best, starts)]
     dist = np.empty(n)
     dist[rx] = np.sqrt(best)
     served = np.flatnonzero(tx >= 0)

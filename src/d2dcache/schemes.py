@@ -115,6 +115,9 @@ def _cochannel_interference(
     are a prefix of the layout, and pass j adds the j-th transmitter of each
     of them to that group's other receivers. Memory stays linear in the rows,
     and every receiver sums its interferers in ascending row order from 0.0.
+    A pass evaluates the whole prefix and zeroes each group's own row j
+    before adding, which is exact: the sums start at +0.0 and every term is
+    non-negative. Distances are sqrt(dx*dx + dy*dy), as in pairing.
     """
     by_size = np.argsort(-sizes, kind="stable")
     lay_sizes = sizes[by_size]
@@ -131,16 +134,21 @@ def _cochannel_interference(
     # groups in pass j: those of more than max(j, 1) links
     n_groups = np.searchsorted(-lay_sizes, -np.maximum(np.arange(lay_sizes[0]), 1))
     interference = np.zeros(n_rows)
+    dx_buf, dy_buf = np.empty(n_rows), np.empty(n_rows)
     for j, m in enumerate(n_groups.tolist()):
         if m == 0:
             break
         r = lay_ends[m - 1]
         src = first[:r] + j
-        victim = local[:r] != j
-        dx = (txx[src] - rxx[:r])[victim]
-        dy = (txy[src] - rxy[:r])[victim]
-        received = interference[:r]
-        received[victim] += phy.Pmax * path_gain(np.hypot(dx, dy), phy)
+        dx = np.subtract(txx[src], rxx[:r], out=dx_buf[:r])
+        np.square(dx, out=dx)
+        dy = np.subtract(txy[src], rxy[:r], out=dy_buf[:r])
+        np.square(dy, out=dy)
+        dx += dy
+        gain = path_gain(np.sqrt(dx, out=dx), phy)
+        gain *= phy.Pmax
+        gain[lay_starts[:m] + j] = 0.0
+        interference[:r] += gain
     out = np.empty(n_rows)
     out[rows] = interference
     return out

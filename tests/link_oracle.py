@@ -39,6 +39,13 @@ class ActiveSet:
                 raise ValueError(f"link power {l.power} outside (0, Pmax={self.Pmax}]")
 
 
+def _distance(tx_pos: np.ndarray, rx_pos: np.ndarray) -> float:
+    """sqrt(dx*dx + dy*dy) with dx = tx - rx: pairing's and the co-channel
+    path's expression, in their operand order."""
+    dx, dy = (tx_pos - rx_pos).tolist()
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def link_rate(
     link: ActiveLink,
     active_set: ActiveSet,
@@ -47,7 +54,7 @@ def link_rate(
 ) -> float:
     """Rate (bits/s) of one link given its co-channel companions."""
     pos = active_set.positions
-    d_sig = float(np.hypot(*(pos[link.tx] - pos[link.rx])))
+    d_sig = _distance(pos[link.tx], pos[link.rx])
     if link.power == 0.0:
         return 0.0
     signal = link.power * path_gain(d_sig, cfg)
@@ -57,7 +64,7 @@ def link_rate(
             continue
         if other.subchannel != link.subchannel:
             continue
-        d_int = float(np.hypot(*(pos[other.tx] - pos[link.rx])))
+        d_int = _distance(pos[other.tx], pos[link.rx])
         interference += other.power * path_gain(d_int, cfg)
     noise = subchannel_bandwidth * cfg.N0
     sinr = float(cfg.effective_sinr(signal / (noise + interference)))
@@ -97,5 +104,5 @@ def all_pairs_interference(
         return np.zeros(len(rx_pos))
     dx = tx_pos[intf, 0] - rx_pos[vic, 0]
     dy = tx_pos[intf, 1] - rx_pos[vic, 1]
-    w = cfg.Pmax * path_gain(np.hypot(dx, dy), cfg)
+    w = cfg.Pmax * path_gain(np.sqrt(dx * dx + dy * dy), cfg)
     return np.bincount(vic, weights=w, minlength=len(rx_pos))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,13 +19,19 @@ from d2dcache.geometry import (
     grid_from_target_side,
     pair_within_clusters,
 )
-from d2dcache.phy import PhyConfig
+from d2dcache.phy import PhyConfig, path_gain
 from d2dcache.popularity import PopularityModel
 from d2dcache.regimes import REGIMES
 from d2dcache.runner import build_point_inputs, run_trials
 from d2dcache.schemes import _clustered_bits, run_scenario1, run_scenario2
 from d2dcache.validate import check_outage_closed_form, check_sinr_floor, cluster_ratios
-from link_oracle import ActiveLink, ActiveSet, all_pairs_interference, link_rate
+from link_oracle import (
+    ActiveLink,
+    ActiveSet,
+    all_pairs_interference,
+    link_rate,
+    ordered_pairs_within_groups,
+)
 
 PHY = PhyConfig()
 
@@ -312,10 +319,11 @@ def test_clustered_rates_match_scalar_oracle(N, M, S, k, K, chi, ceiling, seed):
             assert slot.link_rate[row] == pytest.approx(expect, rel=1e-9)
 
 
-def _synthetic_slot(counts, k, seed):
+def _synthetic_slot(counts, k, seed, n_self=0):
     """A k x k grid with counts[c] links in cell c, delivered as one clustered
     slot. Receiver i and transmitter L + i of link i lie uniformly in its cell;
-    the cells are shuffled over the links, so rx order is not cell order."""
+    the cells are shuffled over the links, so rx order is not cell order.
+    Links 0 .. n_self - 1 are self-served instead: their tx is their rx."""
     rng = np.random.default_rng(seed)
     cell = rng.permutation(np.repeat(np.arange(k * k), counts))
     L = len(cell)
@@ -330,11 +338,17 @@ def _synthetic_slot(counts, k, seed):
         requests=np.ones(2 * L, dtype=np.int64),
         caches=(np.ones((2 * L, 1), dtype=np.int64),),
     )
-    pairing = PairingOutcome(
-        tx=np.arange(L, 2 * L), rx=np.arange(L), distance=np.hypot(*(tx_pos - rx_pos).T)
-    )
+    tx = np.arange(L, 2 * L)
+    tx[:n_self] = np.arange(n_self)
+    distance = np.hypot(*(tx_pos - rx_pos).T)
+    distance[:n_self] = 0.0
+    pairing = PairingOutcome(tx=tx, rx=np.arange(L), distance=distance)
     grid = ClusterGrid(k=k, cell_id=users)
     return realization, _clustered_bits(realization, pairing, grid, PHY, "cluster")
+
+
+def _group_sizes(slot):
+    return np.diff(np.flatnonzero(np.diff(slot.link_res, prepend=-1, append=-1)))
 
 
 def _cell_counts(pattern, k, c, seed):
@@ -353,17 +367,20 @@ def _cell_counts(pattern, k, c, seed):
     return np.where((cx % 4 == 0) & (cy % 4 == 0), 1, np.where(first, c, 0))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+SLOT_PATTERNS = dict(
     pattern=st.sampled_from(["random", "equal", "singles", "dominant"]),
     k=st.sampled_from([4, 8, 12, 20]),
     c=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(**SLOT_PATTERNS)
 def test_interference_equals_all_pairs_reference(pattern, k, c, seed):
     # the pass-wise sums are bit-equal to the all-pairs bincount
     realization, slot = _synthetic_slot(_cell_counts(pattern, k, c, seed), k, seed)
-    sizes = np.diff(np.flatnonzero(np.diff(slot.link_res, prepend=-1, append=-1)))
+    sizes = _group_sizes(slot)
     if pattern == "singles":
         assert sizes.max() == 1
     if pattern == "equal":
@@ -373,6 +390,37 @@ def test_interference_equals_all_pairs_reference(pattern, k, c, seed):
     pos = realization.positions
     tx = slot.link_rx + slot.n_links
     expect = all_pairs_interference(pos[tx], pos[slot.link_rx], sizes, PHY)
+    assert np.array_equal(slot.link_interference, expect)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**SLOT_PATTERNS)
+def test_interference_within_rtol_of_hypot_reference(pattern, k, c, seed):
+    # the distance is sqrt(dx*dx + dy*dy), not np.hypot; this bounds what
+    # that convention moves in every link's interference
+    realization, slot = _synthetic_slot(_cell_counts(pattern, k, c, seed), k, seed)
+    pos = realization.positions
+    vic, intf = ordered_pairs_within_groups(_group_sizes(slot))
+    tx_pos, rx_pos = pos[slot.link_rx + slot.n_links], pos[slot.link_rx]
+    d = np.hypot(*(tx_pos[intf] - rx_pos[vic]).T)
+    expect = np.bincount(vic, weights=PHY.Pmax * path_gain(d, PHY), minlength=slot.n_links)
+    np.testing.assert_allclose(slot.link_interference, expect, rtol=1e-14, atol=0.0)
+
+
+def test_self_served_links_in_cochannel_groups():
+    # a user that caches its own request is its own tx at distance 0; the
+    # pass of that link's index evaluates its own row at d = 0, then zeroes it
+    k, n_self = 8, 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        realization, slot = _synthetic_slot(_cell_counts("equal", k, 2, 7), k, 7, n_self)
+    sizes = _group_sizes(slot)
+    assert sizes.min() == 4
+    assert np.count_nonzero(slot.link_distance == 0.0) == n_self
+    tx = np.where(slot.link_rx < n_self, slot.link_rx, slot.link_rx + slot.n_links)
+    pos = realization.positions
+    expect = all_pairs_interference(pos[tx], pos[slot.link_rx], sizes, PHY)
+    assert np.isfinite(slot.link_interference).all()
     assert np.array_equal(slot.link_interference, expect)
 
 
