@@ -165,9 +165,10 @@ def sweep_points(cfg: ExperimentConfig) -> list[ExperimentConfig]:
         for name, expr in cfg.sweep.couple.items():
             env[name] = _eval_coupling(expr, env)
             overrides[name] = env[name]
-        for name in list(overrides):
-            if _NUMERIC_FIELDS[name] is int:  # coupled values round half to even
-                overrides[name] = int(round(overrides[name]))
+        for name, value in overrides.items():
+            # finite coupled values round half to even; inf and nan reach the schema
+            if _NUMERIC_FIELDS[name] is int and isinstance(value, float) and math.isfinite(value):
+                overrides[name] = int(round(value))
         points.append(replace(cfg, sweep=None, **overrides))
     return points
 

@@ -127,14 +127,14 @@ def segment_ids(starts: np.ndarray, total: int) -> np.ndarray:
     return np.cumsum(np.bincount(starts[1:], minlength=total))
 
 
-def _nearest_candidate_links(
-    positions: np.ndarray,
-    requests: np.ndarray,
-    cache_cols: np.ndarray,
-    cell_id: np.ndarray,
-    n_cells: int,
+def pair_within_clusters(
+    realization: NetworkRealization,
+    grid: ClusterGrid,
+    caches: np.ndarray,
 ) -> PairingOutcome:
-    """Vectorized nearest same-cell cached-copy search, linear in the candidates.
+    """Pair every user with the nearest same-cell holder of its request in
+    caches, one (N, S_slot) block of realization.caches, by a vectorized
+    search linear in the candidates.
 
     One sort of the composite key ((file, cell), holder) builds the inverted
     (file, cell) -> holders index with the holders ascending inside each key
@@ -143,15 +143,17 @@ def _nearest_candidate_links(
     at its exact minimum distance, so ties break toward the lowest candidate
     user index. The links come back in ascending rx order.
     """
+    positions, requests = realization.positions, realization.requests
+    cell_id, n_cells = grid.cell_id, grid.n_cells
     n = len(positions)
-    n_keys = max(int(cache_cols.max(initial=0)), int(requests.max(initial=0))) + 1
+    n_keys = max(int(caches.max(initial=0)), int(requests.max(initial=0))) + 1
     if n_keys * n_cells * n > np.iinfo(np.int64).max:
         raise ValueError(
             f"pairing key (file, cell, user) overflows int64 for N={n} users "
             f"and {n_cells} cells"
         )
     users = np.arange(n, dtype=np.int64)
-    held = cache_cols.astype(np.int64) * n_cells
+    held = caches.astype(np.int64) * n_cells
     held += cell_id[:, None]
     held *= n
     held += users[:, None]
@@ -196,18 +198,6 @@ def _nearest_candidate_links(
     dist[rx] = np.sqrt(best)
     served = np.flatnonzero(tx >= 0)
     return PairingOutcome(tx[served], served, dist[served])
-
-
-def pair_within_clusters(
-    realization: NetworkRealization,
-    grid: ClusterGrid,
-    caches: np.ndarray,
-) -> PairingOutcome:
-    """Pair every user with the nearest same-cell holder of its request in
-    caches, one (N, S_slot) block of realization.caches."""
-    return _nearest_candidate_links(
-        realization.positions, realization.requests, caches, grid.cell_id, grid.n_cells
-    )
 
 
 def build_realization(

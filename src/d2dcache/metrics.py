@@ -126,13 +126,6 @@ def bound_constant(alpha: float) -> float:
     return alpha * (3.0 * math.sqrt(2.0) + 1.0) + 2.0 * (2.0 * (math.sqrt(2.0) + 1.0)) ** alpha
 
 
-def _first_of_runs(keys: np.ndarray) -> np.ndarray:
-    """True at the first element of each run of equal keys."""
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return first
-
-
 def check_transport_bound(
     result: SchemeResult,
     phy: PhyConfig,
@@ -155,7 +148,8 @@ def check_transport_bound(
     cw_parts, short = [], []
     # resource keys restart in every slot, so representatives are found per slot
     for s in result.slots:
-        w = _first_of_runs(s.link_res)
+        w = np.ones(len(s.link_res), dtype=bool)
+        w[1:] = s.link_res[1:] != s.link_res[:-1]
         d, bw = s.link_distance[w], s.bandwidth
         rate_alone = bw * np.log2(1.0 + phy.Pmax * path_gain(d, phy) / (phy.N0 * bw))
         cw_parts.append(_transport(d, rate_alone, s.airtime))

@@ -36,19 +36,12 @@ class PopularityModel:
             raise ValueError(f"q must be non-negative, got {self.q}")
 
     @cached_property
-    def _weights(self) -> np.ndarray:
-        # exp(-gamma*log(f+q)) stays finite where (f+q)**-gamma would underflow first
-        f = np.arange(1, self.M + 1, dtype=np.float64)
-        return np.exp(-self.gamma * np.log(f + self.q))
-
-    @cached_property
-    def _norm(self) -> float:
-        return math.fsum(self._weights)
-
-    @cached_property
     def pmf_table(self) -> np.ndarray:
         """Full probability vector over files 1..M (index 0 is file 1)."""
-        t = self._weights / self._norm
+        # exp(-gamma*log(f+q)) stays finite where (f+q)**-gamma would underflow first
+        f = np.arange(1, self.M + 1, dtype=np.float64)
+        weights = np.exp(-self.gamma * np.log(f + self.q))
+        t = weights / math.fsum(weights)
         t.setflags(write=False)
         return t
 

@@ -129,11 +129,11 @@ def run_point(cfg: ExperimentConfig) -> PointResult:
     params = point_params(cfg)
     try:
         inputs = build_point_inputs(cfg)
-    except ValueError as exc:
+        acc = metrics.ThroughputAccumulator()
+        for trial in run_trials(cfg, inputs):
+            acc.add(*trial)
+    except (ValueError, RuntimeError) as exc:
         return PointResult(params, error=str(exc))
-    acc = metrics.ThroughputAccumulator()
-    for trial in run_trials(cfg, inputs):
-        acc.add(*trial)
     estimate, c_gamma_mean, bound_slack_min = acc.finish()
     cluster_sides = tuple(1.0 / grid_from_target_side(s) for s in inputs.sides)
     return PointResult(params, estimate, c_gamma_mean, bound_slack_min,

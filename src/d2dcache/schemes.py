@@ -12,7 +12,6 @@ sqrt(eps)*d against cache subspace 2, so short links carry bits at high rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +54,6 @@ class SlotResult:
     airtime: float
     bandwidth: float
     cluster_side: float | None
-
-    @property
-    def n_links(self) -> int:
-        return len(self.link_rx)
-
-    @property
-    def min_sinr(self) -> float:
-        return float(self.link_sinr.min()) if len(self.link_sinr) else math.inf
-
-    @property
-    def max_interference(self) -> float:
-        return float(self.link_interference.max()) if len(self.link_interference) else 0.0
 
 
 @dataclass

@@ -22,10 +22,10 @@ from .regimes import GAMMA_LT1
 
 _SEED = 20240811
 
-# small clustered network shared by the Monte Carlo suites
+# small clustered network of the Monte Carlo suites
 _MINI = ExperimentConfig(
     scheme="scenario1", regime=GAMMA_LT1.name, N=5000, M=100, S=2, gamma=0.6,
-    q=10.0, rho_or_alpha1=4.0, n_realizations=1, base_seed=_SEED,
+    q=10.0, rho_or_alpha1=4.0, n_realizations=60, base_seed=_SEED, check_bounds=True,
 )
 
 
@@ -50,7 +50,8 @@ def cluster_ratios(result, phy: PhyConfig, label: str = "cluster") -> tuple[floa
     slot = result.slot(label)
     floor = sinr_floor(slot.cluster_side, phy, phy.Pmax, phy.Pmax)
     bound = interference_upper_bound(slot.cluster_side, phy, phy.Pmax)
-    return slot.min_sinr / floor, slot.max_interference / bound
+    return (float(slot.link_sinr.min(initial=math.inf)) / floor,
+            float(slot.link_interference.max(initial=0.0)) / bound)
 
 
 def check_outage_closed_form(fracs, closed_form: float, seed: int) -> SuiteReport:
@@ -181,31 +182,26 @@ def hit_probability_curve(model, S: int, seed: int, n_draws: int) -> list[dict]:
     return rows
 
 
-def _mini_trials(n_real: int, check_bounds: bool = False):
-    """The point inputs and the in-order runner trials of the mini network."""
-    cfg = replace(_MINI, n_realizations=n_real, check_bounds=check_bounds)
-    inputs = runner.build_point_inputs(cfg)
-    return inputs, runner.run_trials(cfg, inputs)
-
-
 def suite_log_inequality(n: int = 100_000) -> SuiteReport:
     return check_log_inequality(_SEED, n)
 
 
-def suite_sinr_floor(n_real: int = 20) -> SuiteReport:
-    _, trials = _mini_trials(n_real)
-    return check_sinr_floor([cluster_ratios(res, _MINI.phy) for res, _, _ in trials], _SEED)
-
-
-def suite_transport_bound(n_real: int = 20) -> SuiteReport:
-    _, trials = _mini_trials(n_real, check_bounds=True)
-    return check_transport_slack([slack for _, _, slack in trials], _SEED)
-
-
-def suite_outage_closed_form(n_real: int = 60) -> SuiteReport:
-    inputs, trials = _mini_trials(n_real)
-    fracs = [res.outage_fraction for res, _, _ in trials]
-    return check_outage_closed_form(fracs, inputs.closed_form, _SEED)
+def suite_mini_network(n_real: int = _MINI.n_realizations) -> list[SuiteReport]:
+    """One run of the mini network: the SINR-floor and transport-slack checks
+    on its first 20 trials, the outage check on all of them."""
+    cfg = replace(_MINI, n_realizations=n_real)
+    inputs = runner.build_point_inputs(cfg)
+    ratios, slacks, fracs = [], [], []
+    for res, _, slack in runner.run_trials(cfg, inputs):
+        if len(fracs) < 20:
+            ratios.append(cluster_ratios(res, cfg.phy))
+            slacks.append(slack)
+        fracs.append(res.outage_fraction)
+    return [
+        check_sinr_floor(ratios, _SEED),
+        check_transport_slack(slacks, _SEED),
+        check_outage_closed_form(fracs, inputs.closed_form, _SEED),
+    ]
 
 
 def suite_fixed_point(n: int = 10_000) -> SuiteReport:
@@ -217,15 +213,8 @@ def suite_placement_marginals(n_draws: int = 40_000) -> SuiteReport:
     return check_placement_marginals(policy, _SEED, n_draws)
 
 
-ALL_SUITES = (
-    suite_log_inequality,
-    suite_sinr_floor,
-    suite_transport_bound,
-    suite_outage_closed_form,
-    suite_fixed_point,
-    suite_placement_marginals,
-)
-
-
 def run_all() -> list[SuiteReport]:
-    return [suite() for suite in ALL_SUITES]
+    return [
+        suite_log_inequality(), *suite_mini_network(), suite_fixed_point(),
+        suite_placement_marginals(),
+    ]

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from d2dcache.caching import optimize_policy
 from d2dcache.geometry import (
+    ClusterGrid,
     NetworkRealization,
-    _nearest_candidate_links,
     build_grid,
     build_realization,
     grid_from_target_side,
@@ -201,7 +201,8 @@ def test_pairing_matches_oracle_on_lattice(N, M, S, k, seed):
 
 
 def test_pairing_key_overflow_is_an_error():
-    pos = np.array([[0.1, 0.1], [0.2, 0.2]])
     one = np.ones(2, dtype=np.int64)
+    realization = NetworkRealization(np.array([[0.1, 0.1], [0.2, 0.2]]), one, (one[:, None],))
+    grid = ClusterGrid(2**31, np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError, match=r"N=2 users and 4611686018427387904 cells"):
-        _nearest_candidate_links(pos, one, one[:, None], np.zeros(2, dtype=np.int64), 2**62)
+        pair_within_clusters(realization, grid, one[:, None])

@@ -235,6 +235,13 @@ def test_sweep_point_coupling():
             sweep_points(config_from_dict({**BASE, "sweep": bad}))
 
 
+@pytest.mark.parametrize("expr, shown", [("1e308 * 10", "inf"), ("1e308 * 10 - 1e308 * 10", "nan")])
+def test_non_finite_coupled_integer_names_its_key(expr, shown):
+    bad = {"param": "M", "values": [50], "couple": {"N": expr}}
+    with pytest.raises(ValueError, match=rf"^N must be an integer, got {shown}$"):
+        sweep_points(config_from_dict({**BASE, "sweep": bad}))
+
+
 @pytest.mark.parametrize(
     "regime,scheme,over",
     [
@@ -365,6 +372,17 @@ def test_infeasible_point_recorded_not_fatal():
     p = artifact.points[0]
     assert p.estimate is None
     assert p.error is not None and "cluster side" in p.error
+
+
+def test_failing_trial_recorded_not_fatal():
+    # at M = 8 the split-cache draw gives up inside the trial; M = 64 draws fine
+    raw = yaml.safe_load((CONFIGS / "scaling_lt1.yaml").read_text())
+    raw.update(gamma=0.8, q=0.0, C_sec=0.5, n_realizations=1)
+    raw["sweep"]["values"] = [8, 64]
+    cfg = config_from_dict(raw)
+    bad, good = run(cfg).points
+    assert bad.estimate is None and "could not draw disjoint cache subspaces" in bad.error
+    assert good.error is None and good.estimate == run_point(sweep_points(cfg)[1]).estimate
 
 
 def test_rerun_and_thread_count_byte_identical(tmp_path):

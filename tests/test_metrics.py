@@ -165,7 +165,7 @@ def test_bound_holds_on_simulated_schedules(scheme):
     for seed in range(20):
         realization = build_realization(inputs.model, inputs.policies, N, 7100 + seed)
         res = run_scheme(realization, *inputs.sides, PHY)
-        assert len(res.slots) == 2 and all(s.n_links for s in res.slots)
+        assert len(res.slots) == 2 and all(len(s.link_rx) for s in res.slots)
         slack = check_transport_bound(res, PHY, r0, 0.1)
         assert slack >= 0, f"seed {seed}: C_gamma={transport_capacity(res)} slack={slack}"
 

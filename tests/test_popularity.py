@@ -8,15 +8,15 @@ from d2dcache.popularity import PopularityModel, sample_request
 
 def test_harmonic_single_term():
     # the normaliser H(1, M) of a one-file library is its single term
-    m = PopularityModel(M=1, gamma=1.3, q=2.5)
-    assert m._norm == pytest.approx((1 + 2.5) ** -1.3, rel=1e-14)
+    assert PopularityModel(M=1, gamma=1.3, q=2.5).pmf_table.tolist() == [1.0]
 
 
 def test_harmonic_classic_values():
+    # H(1, 3) = 11/6 at gamma = 1, q = 0, and H(1, 7) = 7 at gamma = 0
     m = PopularityModel(M=3, gamma=1.0, q=0.0)
-    assert m._norm == pytest.approx(11.0 / 6.0, abs=1e-12)
+    assert m.pmf_table == pytest.approx([6.0 / 11.0, 3.0 / 11.0, 2.0 / 11.0], abs=1e-12)
     m7 = PopularityModel(M=7, gamma=0.0, q=5.0)
-    assert m7._norm == pytest.approx(7.0, abs=1e-12)
+    assert m7.pmf_table == pytest.approx([1.0 / 7.0] * 7, abs=1e-12)
 
 
 def test_pmf_values():

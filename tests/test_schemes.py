@@ -197,7 +197,7 @@ def test_scenario2_identical_construction_when_eps_one():
     res = run_scenario2(realization, side, side, PHY)
     s1, s2 = res.slot("cluster1"), res.slot("cluster2")
     assert s1.cluster_side == s2.cluster_side
-    assert s1.n_links == pytest.approx(s2.n_links, rel=0.05)
+    assert len(s1.link_rx) == pytest.approx(len(s2.link_rx), rel=0.05)
     bits1, bits2 = (np.sum(s.link_rate * s.airtime) for s in (s1, s2))
     assert bits1 == pytest.approx(bits2, rel=0.10)
 
@@ -261,7 +261,7 @@ def test_per_user_bits_sum_the_slots_that_serve_each_user(scheme, N, seed):
     run = run_scenario2 if scheme == "scenario2" else run_scenario1
     res = run(realization, *inputs.sides, PHY)
     for slot in res.slots:
-        assert len(np.unique(slot.link_rx)) == slot.n_links
+        assert len(np.unique(slot.link_rx)) == len(slot.link_rx)
     bits, served = res.per_user_bits, res.per_user_served
     for u in range(N):
         links = [(s, np.flatnonzero(s.link_rx == u)) for s in res.slots]
@@ -309,7 +309,7 @@ def test_clustered_rates_match_scalar_oracle(N, M, S, k, K, chi, ceiling, seed):
     pairing = pair_within_clusters(realization, grid, realization.caches[0])
     slot = _clustered_bits(realization, pairing, grid, phy, "cluster")
     tx_of = dict(zip(pairing.rx.tolist(), pairing.tx.tolist()))  # each rx once per slot
-    assert len(tx_of) == slot.n_links
+    assert len(tx_of) == len(slot.link_rx)
     for key in np.unique(slot.link_res):
         rows = np.flatnonzero(slot.link_res == key)
         links = [ActiveLink(tx_of[int(rx)], int(rx), phy.Pmax, int(key)) for rx in slot.link_rx[rows]]
@@ -388,7 +388,7 @@ def test_interference_equals_all_pairs_reference(pattern, k, c, seed):
     if pattern == "dominant":
         assert sizes.max() == (k // 4) ** 2 and (k == 4 or sorted(sizes)[-2] <= 2)
     pos = realization.positions
-    tx = slot.link_rx + slot.n_links
+    tx = slot.link_rx + len(slot.link_rx)
     expect = all_pairs_interference(pos[tx], pos[slot.link_rx], sizes, PHY)
     assert np.array_equal(slot.link_interference, expect)
 
@@ -401,9 +401,9 @@ def test_interference_within_rtol_of_hypot_reference(pattern, k, c, seed):
     realization, slot = _synthetic_slot(_cell_counts(pattern, k, c, seed), k, seed)
     pos = realization.positions
     vic, intf = ordered_pairs_within_groups(_group_sizes(slot))
-    tx_pos, rx_pos = pos[slot.link_rx + slot.n_links], pos[slot.link_rx]
+    tx_pos, rx_pos = pos[slot.link_rx + len(slot.link_rx)], pos[slot.link_rx]
     d = np.hypot(*(tx_pos[intf] - rx_pos[vic]).T)
-    expect = np.bincount(vic, weights=PHY.Pmax * path_gain(d, PHY), minlength=slot.n_links)
+    expect = np.bincount(vic, weights=PHY.Pmax * path_gain(d, PHY), minlength=len(slot.link_rx))
     np.testing.assert_allclose(slot.link_interference, expect, rtol=1e-14, atol=0.0)
 
 
@@ -417,7 +417,7 @@ def test_self_served_links_in_cochannel_groups():
     sizes = _group_sizes(slot)
     assert sizes.min() == 4
     assert np.count_nonzero(slot.link_distance == 0.0) == n_self
-    tx = np.where(slot.link_rx < n_self, slot.link_rx, slot.link_rx + slot.n_links)
+    tx = np.where(slot.link_rx < n_self, slot.link_rx, slot.link_rx + len(slot.link_rx))
     pos = realization.positions
     expect = all_pairs_interference(pos[tx], pos[slot.link_rx], sizes, PHY)
     assert np.isfinite(slot.link_interference).all()
@@ -436,5 +436,5 @@ def test_interference_memory_is_linear_in_links():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(np.unique(slot.link_res)) == 1 and slot.n_links == 2025
+    assert len(np.unique(slot.link_res)) == 1 and len(slot.link_rx) == 2025
     assert peak <= 4 * 2**20

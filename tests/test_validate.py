@@ -15,7 +15,7 @@ def test_all_suites_pass_and_cli_exit_zero(tmp_path, capsys):
     rc = main(["validate", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("[PASS]") == len(validate.ALL_SUITES)
+    assert out.count("[PASS]") == 6 and "6/6 suites passed" in out
     assert (tmp_path / "validate.json").exists()
 
 
@@ -28,8 +28,8 @@ def test_corrupted_reuse_coloring_is_caught(monkeypatch):
         return np.zeros(grid.n_cells, dtype=np.int64)
 
     monkeypatch.setattr(schemes, "reuse_color", broken_coloring)
-    report = validate.suite_sinr_floor(n_real=5)
-    assert not report.passed
+    floor_report = validate.suite_mini_network(n_real=5)[0]
+    assert floor_report.name == "cluster_sinr_floor" and not floor_report.passed
 
 
 def test_suite_reports_carry_counts_and_seeds():
