@@ -7,8 +7,10 @@ The policy used throughout minimizes the cluster outage objective
     sum_f P(f) * exp(-g_c * Pc(f))
 
 over 0 <= Pc <= 1, sum Pc = S, where g_c is the mean number of users per
-cluster. The minimizer is a water-filling profile found by bisection on the
-KKT multiplier.
+cluster. The minimizer is a water-filling profile. Its budget sum_f Pc(f)
+is piecewise linear in the KKT multiplier, so the solve finds the linear
+piece that holds the budget S with binary searches over a prefix sum and
+solves that piece's linear equation exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import numpy as np
 from .popularity import PopularityModel, _sorted_search
 
 SUM_TOL = 1e-9
-_MU_REL_TOL = 1e-12
-_MAX_BISECT = 200
 _MAX_SPLIT_RETRIES = 1000
 
 
@@ -58,39 +58,66 @@ class CachingPolicy:
 
 
 def _waterfill_probs(prob_mass: np.ndarray, S: int, g_c: float) -> np.ndarray:
-    """Minimize sum p*exp(-g_c*Pc) s.t. sum Pc = S, 0 <= Pc <= 1.
+    """Minimize sum p*exp(-g_c*Pc) s.t. sum Pc = S, 0 <= Pc <= 1, for a
+    non-increasing mass p.
 
-    KKT: Pc(f) = clip(ln(g_c*p_f/mu)/g_c, 0, 1); mu found by bisection on
-    ln(mu). The budget sum is continuous and non-increasing in mu.
+    KKT: Pc(f) = clip((nu - v_f)/g_c, 0, 1) with floor v_f = -ln(g_c*p_f),
+    non-decreasing in f, and water level nu. The budget T(nu) = sum Pc is
+    continuous, non-decreasing and linear between its breakpoints v_f (file f
+    starts to fill) and v_f + g_c (file f is full). With a prefix sum of v,
+    T costs two binary searches, so a binary search over each kind of
+    breakpoint finds the piece on which T = S, and nu solves its linear
+    equation. Zero mass gives v = inf and Pc = 0.
     """
+    if np.any(prob_mass[1:] > prob_mass[:-1]):
+        raise ValueError("water-filling needs a non-increasing probability mass")
     with np.errstate(divide="ignore"):
-        log_gp = np.log(g_c) + np.log(prob_mass)
-    finite = log_gp[np.isfinite(log_gp)]  # underflowed tail mass stays at Pc = 0
-    lo = float(finite.min()) - g_c  # every finite-mass file saturated -> sum >= S
-    hi = float(finite.max())        # every file at zero -> sum = 0 <= S
-    pc = np.empty_like(prob_mass)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        np.clip((log_gp - mid) / g_c, 0.0, 1.0, out=pc)
-        total = float(pc.sum())
-        if abs(total - S) <= 0.1 * SUM_TOL:
-            break
-        if total > S:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _MU_REL_TOL * max(1.0, abs(hi)):
-            break
-    # close the residual budget gap on the unsaturated coordinates
+        v = np.log(prob_mass)
+    np.negative(v, out=v)
+    v -= np.log(g_c)
+    cs = np.zeros(len(v) + 1)
+    np.cumsum(v, out=cs[1:])
+    n_mass = int(np.searchsorted(v, np.inf))
+
+    def budget(nu: float) -> float:
+        a = int(np.searchsorted(v, nu - g_c, side="right"))  # full files
+        b = max(a, int(np.searchsorted(v, nu)))             # files with Pc > 0
+        return a + ((b - a) * nu - (cs[b] - cs[a])) / g_c
+
+    def below_budget(shift: float) -> int:
+        """Number of breakpoints v_f + shift at which T < S."""
+        lo, hi = 0, n_mass
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if budget(float(v[mid]) + shift) < S:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    b, a = below_budget(0.0), below_budget(g_c)
+    # b == a: the b files below the level are all full
+    nu = (g_c * (S - a) + (cs[b] - cs[a])) / (b - a) if b > a else np.inf
+    del cs
+    pc = v  # the floors are not needed again: write Pc over them
+    np.subtract(nu, pc[:b], out=pc[:b])
+    pc[:b] /= g_c
+    np.clip(pc[:b], 0.0, 1.0, out=pc[:b])
+    pc[b:] = 0.0
+    # close the residual budget gap on the unsaturated coordinates; Pc does
+    # not increase with f, so each candidate set is a slice
     residual = S - float(pc.sum())
     if residual != 0.0:
-        free = (pc > 0.0) & (pc < 1.0)
-        if not free.any():
-            free = pc < 1.0 if residual > 0 else pc > 0.0
-        n_free = int(free.sum())
+        n_full = int(np.count_nonzero(pc[:b] == 1.0))
+        n_pos = int(np.count_nonzero(pc[:b]))
+        if n_pos > n_full:
+            free = slice(n_full, n_pos)
+        else:
+            free = slice(n_full, None) if residual > 0 else slice(0, n_pos)
+        n_free = len(pc[free])
         if n_free:
             pc[free] += residual / n_free
-            np.clip(pc, 0.0, 1.0, out=pc)
+            np.clip(pc[free], 0.0, 1.0, out=pc[free])
     return pc
 
 
@@ -177,7 +204,9 @@ def place_split_caches_batch(
 
     Subset 2 is rejection-resampled against subset 1. This distorts the
     slot-2 marginals by O(sum_f Pc1*Pc2), which is second order for the
-    spread-out slot-1 policies the schemes use.
+    spread-out slot-1 policies the schemes use. Every slot-2 draw holds the
+    files with Pc2 = 1, so a clashing row whose subset 1 holds one of them
+    can never be repaired: that raises at once, before any redraw.
     """
     policy1, policy2 = policies
     slot1 = place_caches_batch(policy1, rng, n)
@@ -192,7 +221,14 @@ def place_split_caches_batch(
         rows = rows[clash]
         if not len(rows):
             return slot1, slot2
-        block1, block2 = slot1[rows], place_caches_batch(policy2, rng, len(rows))
+        block1 = slot1[rows]
+        stuck = block1[policy2.probs[block1 - 1] >= 1.0]
+        if len(stuck):
+            raise RuntimeError(
+                "could not draw disjoint cache subspaces; file "
+                f"{stuck.min()} has slot-2 caching probability 1 and is drawn in slot 1 too"
+            )
+        block2 = place_caches_batch(policy2, rng, len(rows))
         slot2[rows] = block2
     raise RuntimeError(
         "could not draw disjoint cache subspaces; the two sub-policies "

@@ -64,8 +64,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Closed-form per-point report: cluster sides, outage, SINR floor. A point
-    whose inputs cannot be built is recorded as its params and its error."""
+    """Closed-form per-point report: cluster sides, outage, SINR floor. The
+    floor and the interference bound are taken at the realized side 1/k that
+    the trials use, cluster_side is the target side. A point whose inputs
+    cannot be built is recorded as its params and its error."""
     cfg = _load(args)
     rows = []
     for point in sweep_points(cfg):
@@ -76,12 +78,12 @@ def cmd_analyze(args) -> int:
             rows.append({**entry, "error": str(exc)})
             continue
         regime = REGIMES[point.regime]
-        d = inputs.sides[0]
+        realized = inputs.cluster_sides[0]
         entry.update(
-            cluster_side=d,
+            cluster_side=inputs.sides[0],
             occupancy=inputs.occupancy,
-            sinr_floor=sinr_floor(d, point.phy, point.phy.Pmax, point.phy.Pmax),
-            interference_bound=interference_upper_bound(d, point.phy, point.phy.Pmax),
+            sinr_floor=sinr_floor(realized, point.phy, point.phy.Pmax, point.phy.Pmax),
+            interference_bound=interference_upper_bound(realized, point.phy, point.phy.Pmax),
         )
         if point.scheme == "scenario2":
             entry["epsilon"] = inputs.epsilon

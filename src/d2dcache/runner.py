@@ -69,6 +69,11 @@ class PointInputs:
     epsilon: float | None
     closed_form: float
 
+    @property
+    def cluster_sides(self) -> tuple[float, ...]:
+        """The realized side 1/k of each clustered slot, as the trials lay it out."""
+        return tuple(1.0 / grid_from_target_side(s) for s in self.sides)
+
 
 def build_point_inputs(cfg: ExperimentConfig) -> PointInputs:
     """Model, occupancy, cluster sides, caching policy and closed form of one point."""
@@ -135,9 +140,8 @@ def run_point(cfg: ExperimentConfig) -> PointResult:
     except (ValueError, RuntimeError) as exc:
         return PointResult(params, error=str(exc))
     estimate, c_gamma_mean, bound_slack_min = acc.finish()
-    cluster_sides = tuple(1.0 / grid_from_target_side(s) for s in inputs.sides)
     return PointResult(params, estimate, c_gamma_mean, bound_slack_min,
-                       inputs.closed_form, inputs.epsilon, cluster_sides)
+                       inputs.closed_form, inputs.epsilon, inputs.cluster_sides)
 
 
 def run(cfg: ExperimentConfig) -> ResultArtifact:

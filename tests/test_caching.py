@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dcache import caching
 from d2dcache.caching import (
     CachingPolicy,
     build_split_policy,
@@ -14,6 +17,7 @@ from d2dcache.caching import (
 )
 from d2dcache.popularity import PopularityModel
 from d2dcache.validate import check_placement_marginals
+from waterfill_oracle import bisection_waterfill
 
 # Objective value of the optimum for M=4, S=1, gamma=0.8, q=0, g_c=10,
 # frozen from a projected grid search (5e-3 coarse pass plus two local
@@ -101,6 +105,46 @@ def test_optimized_beats_uniform(M, gamma, q, gc, data):
     best = closed_form_outage(optimize_policy(m, S, gc), m, gc)
     uniform = closed_form_outage(CachingPolicy(np.full(M, S / M), S), m, gc)
     assert best <= uniform + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    M=st.integers(2, 5000),
+    gamma=st.floats(0.0, 3.0),
+    q=st.floats(0.0, 100.0),
+    gc=st.floats(1e-2, 1e5),
+    data=st.data(),
+)
+def test_optimize_matches_bisection_oracle(M, gamma, q, gc, data):
+    S = data.draw(st.integers(1, M - 1))
+    m = PopularityModel(M=M, gamma=gamma, q=q)
+    pc = optimize_policy(m, S, gc).probs
+    ref = bisection_waterfill(m.pmf_table, S, gc)
+    assert float(np.max(np.abs(pc - ref))) <= 1e-12
+    assert abs(float(pc.sum()) - S) <= 1e-12 * S
+    # exp(-g_c*Pc) is only as exact as g_c times an ulp of Pc, so two equal
+    # optima may read apart by two ulps of each solve on top of 1e-15
+    obj, ref_obj = (float(np.add.reduce(m.pmf_table * np.exp(-gc * x))) for x in (pc, ref))
+    assert obj <= ref_obj * (1.0 + 1e-15 + gc * 2.0**-50)
+
+
+def test_waterfill_rejects_increasing_mass():
+    with pytest.raises(ValueError, match="non-increasing"):
+        caching._waterfill_probs(np.array([0.2, 0.3, 0.5]), 1, 4.0)
+
+
+def test_optimize_memory_at_two_million_files():
+    # the floors, their prefix sum and the policy's own copy: at most 2.25
+    # library-length float arrays live at once (the bisection held 4)
+    m = PopularityModel(M=2_000_000, gamma=0.6, q=2.0)
+    m.pmf_table
+    tracemalloc.start()
+    try:
+        optimize_policy(m, 2, 2.0**-7 * m.M / 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * m.M
 
 
 def test_outage_monotone_in_occupancy():
@@ -204,6 +248,19 @@ def test_split_policy_concentrates_slot2():
     m = PopularityModel(M=100, gamma=0.6, q=10.0)
     p1, p2 = build_split_policy(m, 4, 50.0, 5.0)
     assert p2.probs[0] >= p1.probs[0]
+
+
+def test_split_placement_fails_at_once_on_a_saturated_slot2_file(monkeypatch):
+    # scaling_lt1 at M = 8, gamma = 0.8, q = 0, C_sec = 0.5: Pc2(1) = 1
+    p1, p2 = build_split_policy(PopularityModel(M=8, gamma=0.8, q=0.0), 4, 16.0, 1.12)
+    assert p2.probs[0] == 1.0 and p1.probs[0] < 1.0
+    calls = []
+    place = caching.place_caches_batch
+    monkeypatch.setattr(caching, "place_caches_batch", lambda *a: calls.append(a) or place(*a))
+    rng = np.random.Generator(np.random.PCG64(5))
+    with pytest.raises(RuntimeError, match="^could not draw disjoint cache subspaces; file 1 "):
+        place_split_caches_batch((p1, p2), rng, 200)
+    assert len(calls) == 2  # the two first draws, no redraw
 
 
 def test_split_placement_disjoint():

@@ -21,7 +21,7 @@ from d2dcache.config import (
     sweep_points,
 )
 from d2dcache.geometry import grid_from_target_side
-from d2dcache.phy import PhyConfig
+from d2dcache.phy import PhyConfig, interference_upper_bound, sinr_floor
 from d2dcache.regimes import REGIMES
 from d2dcache.runner import (
     build_point_inputs,
@@ -420,7 +420,14 @@ def test_cli_simulate_and_analyze(tmp_path, capsys):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
 def test_cli_analyze_shipped_config(tmp_path, path):
     cfg = load_config(path)
-    rc = main(["analyze", "--config", str(path), "--out", str(tmp_path), "--format", "both"])
+    argv = ["analyze", "--config", str(path), "--out", str(tmp_path), "--format", "both"]
+    if path.name == "scaling_gt1.yaml":
+        # every slot-2 closed form of this sweep sits below C2 = 10 (ROADMAP item 5)
+        with pytest.warns(UserWarning, match=r"C2=\S+ < 10") as record:
+            rc = main(argv)
+        assert len(record) == len(sweep_points(cfg))
+    else:
+        rc = main(argv)
     assert rc == 0
     data = json.loads((tmp_path / "analysis.json").read_text())
     assert len(data["points"]) == len(sweep_points(cfg))
@@ -438,6 +445,20 @@ def test_cli_analyze_shipped_config(tmp_path, path):
                 assert cell == ""
             else:
                 assert cell == (repr(value) if isinstance(value, float) else str(value))
+
+
+def test_cli_analyze_floor_at_realized_side(tmp_path):
+    # the target side sqrt(75 / 2000) = 0.194 rounds to a 5 x 5 grid of side 0.2
+    path = _write_cfg(tmp_path, n_realizations=1)
+    main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
+    main(["analyze", "--config", str(path), "--out", str(tmp_path / "an")])
+    (point,) = json.loads((tmp_path / "sim" / "results.json").read_text())["points"]
+    (entry,) = json.loads((tmp_path / "an" / "analysis.json").read_text())["points"]
+    side = point["cluster_sides"][0]
+    assert side != entry["cluster_side"]
+    phy = load_config(path).phy
+    assert entry["sinr_floor"] == sinr_floor(side, phy, phy.Pmax, phy.Pmax)
+    assert entry["interference_bound"] == interference_upper_bound(side, phy, phy.Pmax)
 
 
 def _strict_json(text):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2dcache.popularity import PopularityModel, sample_request
@@ -45,6 +45,20 @@ def test_pmf_sums_to_one_and_monotone(M, gamma, q):
     t = m.pmf_table
     assert abs(float(t.sum()) - 1.0) <= 1e-12
     assert np.all(np.diff(t) <= 1e-15)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    M=st.integers(1, 2_000_000),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+    q=st.floats(0.0, 1e4),
+)
+@example(M=2_000_000, gamma=0.0, q=0.0)
+@example(M=2_000_000, gamma=0.6, q=2.0)
+def test_pmf_table_non_increasing(M, gamma, q):
+    # the water-filling solve takes this order exactly, without a tolerance
+    t = PopularityModel(M=M, gamma=gamma, q=q).pmf_table
+    assert np.all(t[1:] <= t[:-1])
 
 
 def test_q_zero_reduces_to_zipf():
