@@ -142,7 +142,10 @@ def closed_form_outage(policy: CachingPolicy, model: PopularityModel, g_c: float
         raise ValueError(
             f"policy covers {policy.M} files but the model has {model.M}"
         )
-    return float(np.add.reduce(model.pmf_table * np.exp(-g_c * policy.probs)))
+    terms = np.multiply(policy.probs, -g_c)
+    np.exp(terms, out=terms)
+    terms *= model.pmf_table
+    return float(np.add.reduce(terms))
 
 
 def finite_n_outage(policy: CachingPolicy, model: PopularityModel, N: int, n_cells: int) -> float:
@@ -171,10 +174,11 @@ def _interval_partition(probs: np.ndarray, S: int, offsets: np.ndarray) -> np.nd
     so the S selected files are distinct and the marginal inclusion
     probability of file f is exactly Pc(f). offsets is one uniform in [0,1)
     per draw; returns an (n, S) int64 array of 1-based file indices. Every
-    point stays below the last edge S, so no index exceeds M.
+    edge from the last file with Pc > 0 onward is S, so every point stays
+    below the last edge and never lands on a file with Pc = 0.
     """
     edges = np.concatenate(([0.0], np.cumsum(probs)))
-    edges[-1] = float(S)
+    edges[np.flatnonzero(probs)[-1] + 1:] = float(S)
     return _sorted_search(edges, offsets, S)
 
 

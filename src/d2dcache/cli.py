@@ -15,6 +15,7 @@ import sys
 import time
 
 from . import validate
+from .caching import closed_form_outage
 from .config import config_to_dict, load_config, sweep_points
 from .phy import interference_upper_bound, sinr_floor
 from .regimes import REGIMES
@@ -66,8 +67,9 @@ def cmd_run(args) -> int:
 def cmd_analyze(args) -> int:
     """Closed-form per-point report: cluster sides, outage, SINR floor. The
     floor and the interference bound are taken at the realized side 1/k that
-    the trials use, cluster_side is the target side. A point whose inputs
-    cannot be built is recorded as its params and its error."""
+    the trials use, cluster_side is the target side, and slot 2 of scenario 2
+    reports the exact outage of its solved policy at 2*eps*g_c. A point whose
+    inputs cannot be built is recorded as its params and its error."""
     cfg = _load(args)
     rows = []
     for point in sweep_points(cfg):
@@ -77,8 +79,7 @@ def cmd_analyze(args) -> int:
         except ValueError as exc:
             rows.append({**entry, "error": str(exc)})
             continue
-        regime = REGIMES[point.regime]
-        realized = inputs.cluster_sides[0]
+        realized = 1.0 / inputs.grid_sizes[0]
         entry.update(
             cluster_side=inputs.sides[0],
             occupancy=inputs.occupancy,
@@ -88,12 +89,12 @@ def cmd_analyze(args) -> int:
         if point.scheme == "scenario2":
             entry["epsilon"] = inputs.epsilon
             entry["slot2_cluster_side"] = inputs.sides[1]
-            entry["slot2_outage_closed_form"] = regime.small_cluster_outage(
-                2.0 * inputs.epsilon * inputs.occupancy, inputs.model, point.S // 2
+            entry["slot2_outage_closed_form"] = closed_form_outage(
+                inputs.policies[1], inputs.model, 2.0 * inputs.epsilon * inputs.occupancy
             )
         else:
             entry["outage_closed_form"] = inputs.closed_form
-        entry["predicted_exponent"] = regime.exponent(point.scheme, point.gamma)
+        entry["predicted_exponent"] = REGIMES[point.regime].exponent(point.scheme, point.gamma)
         rows.append(entry)
 
     # the CSV does not quote, so error messages go to the JSON only

@@ -4,9 +4,9 @@ Every per-regime fact of the toolkit lives here: the allowed side of gamma
 against 1, the occupancy driver (mean users per cluster is
 rho_or_alpha1 * driver / S), the sweep's fit axis, the slot-2 shrink product
 eps * rho_or_alpha1 of the double time-slot scheme, the predicted throughput
-exponent of each scheme it supports, the small-cluster outage formula and the
-finite-size warning on q. Methods read the config fields they need (M, q, S,
-gamma, rho_or_alpha1, C_sec) from any object that carries them.
+exponent of each scheme it supports and the finite-size warning on q.
+Methods read the config fields they need (M, q, S, gamma, rho_or_alpha1,
+C_sec) from any object that carries them.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-from . import analysis
 
 
 @dataclass(frozen=True)
@@ -26,7 +24,6 @@ class Regime:
     axis: str  # the fit axis is S / axis
     shrink: Callable[[float, float], float] | None  # (S/driver, gamma) -> product / C_sec
     exponents: dict[str, Callable[[float], float]]  # scheme -> gamma -> exponent
-    small_cluster_outage: Callable | None  # analysis formula (gc_prime, model, S) -> outage
     q_warn_divisor: int | None = None  # warn when q > M / q_warn_divisor
     q_warning: str = ""
 
@@ -72,7 +69,6 @@ GAMMA_LT1 = Regime(
         "scenario1": lambda gamma: 1.0,  # throughput ~ (S/M)^1
         "scenario2": lambda gamma: (1.0 - gamma) / (2.0 - gamma),
     },
-    small_cluster_outage=analysis.po_sec_gamma_lt1,
     q_warn_divisor=1,
     q_warning=(
         "plateau q={q} exceeds library size M={M}; the popularity law is nearly "
@@ -90,7 +86,6 @@ GAMMA_GT1 = Regime(
         "scenario1": lambda gamma: 1.0,  # throughput ~ (S/q)^1
         "scenario2": lambda gamma: 0.5,  # throughput ~ (S/q)^(1/2)
     },
-    small_cluster_outage=analysis.po_sec_gamma_gt1,
     q_warn_divisor=10,
     q_warning=(
         "light-tailed regime expects q well below M, got q={q}, M={M}; scaling "
@@ -106,7 +101,6 @@ ZIPF_GT1 = Regime(
     axis="M",
     shrink=None,
     exponents={"scenario1": lambda gamma: 0.0},
-    small_cluster_outage=None,
 )
 
 REGIMES = {r.name: r for r in (GAMMA_LT1, GAMMA_GT1, ZIPF_GT1)}

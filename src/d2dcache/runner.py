@@ -54,10 +54,11 @@ class PointInputs:
     """What every trial of a point shares, all derived from one regime record.
 
     policies holds one caching policy per cache block, parallel to the
-    realization's caches and to sides: (policy,) for scenario 1, the two S/2
-    sub-policies for scenario 2. sides holds the target cluster side of each
-    clustered slot: sqrt(occupancy / N), then sqrt(epsilon) times that for
-    slot 2 of scenario 2. closed_form is the outage the simulation estimates
+    realization's caches, to sides and to grid_sizes: (policy,) for scenario
+    1, the two S/2 sub-policies for scenario 2. sides holds each clustered
+    slot's target side, sqrt(occupancy / N) and then sqrt(eps) times that,
+    and grid_sizes the k x k grid (realized side 1/k) it rounds to, which
+    every trial builds. closed_form is the outage the simulation estimates
     for scenario 1 (exactly N users on the trial's grid, self-service
     included) and the Poisson cluster outage of slot 1 for scenario 2.
     """
@@ -66,13 +67,9 @@ class PointInputs:
     policies: tuple[caching.CachingPolicy, ...]
     occupancy: float
     sides: tuple[float, ...]
+    grid_sizes: tuple[int, ...]
     epsilon: float | None
     closed_form: float
-
-    @property
-    def cluster_sides(self) -> tuple[float, ...]:
-        """The realized side 1/k of each clustered slot, as the trials lay it out."""
-        return tuple(1.0 / grid_from_target_side(s) for s in self.sides)
 
 
 def build_point_inputs(cfg: ExperimentConfig) -> PointInputs:
@@ -90,23 +87,24 @@ def build_point_inputs(cfg: ExperimentConfig) -> PointInputs:
     if cfg.scheme == "scenario2":
         epsilon = regime.epsilon(cfg)
         sides = (side, math.sqrt(epsilon) * side)
+        grid_sizes = tuple(grid_from_target_side(s) for s in sides)
         policies = caching.build_split_policy(model, cfg.S, 2.0 * occupancy, 2.0 * epsilon * occupancy)
         closed_form = caching.closed_form_outage(policies[0], model, 2.0 * occupancy)
     else:
         sides = (side,)
+        grid_sizes = (grid_from_target_side(side),)
         policies = (caching.optimize_policy(model, cfg.S, occupancy),)
-        n_cells = grid_from_target_side(side) ** 2
-        closed_form = caching.finite_n_outage(*policies, model, cfg.N, n_cells)
-    return PointInputs(model, policies, occupancy, sides, epsilon, closed_form)
+        closed_form = caching.finite_n_outage(*policies, model, cfg.N, grid_sizes[0] ** 2)
+    return PointInputs(model, policies, occupancy, sides, grid_sizes, epsilon, closed_form)
 
 
 def run_trial(cfg: ExperimentConfig, inputs: PointInputs, trial: int):
     seed = cfg.base_seed + trial
     realization = build_realization(inputs.model, inputs.policies, cfg.N, seed)
     if cfg.scheme == "scenario2":
-        result = schemes.run_scenario2(realization, *inputs.sides, cfg.phy)
+        result = schemes.run_scenario2(realization, *inputs.grid_sizes, cfg.phy)
     else:
-        result = schemes.run_scenario1(realization, *inputs.sides, cfg.phy)
+        result = schemes.run_scenario1(realization, *inputs.grid_sizes, cfg.phy)
     c_gamma = metrics.transport_capacity(result)
     slack = math.nan
     if cfg.check_bounds:
@@ -140,8 +138,8 @@ def run_point(cfg: ExperimentConfig) -> PointResult:
     except (ValueError, RuntimeError) as exc:
         return PointResult(params, error=str(exc))
     estimate, c_gamma_mean, bound_slack_min = acc.finish()
-    return PointResult(params, estimate, c_gamma_mean, bound_slack_min,
-                       inputs.closed_form, inputs.epsilon, inputs.cluster_sides)
+    return PointResult(params, estimate, c_gamma_mean, bound_slack_min, inputs.closed_form,
+                       inputs.epsilon, tuple(1.0 / k for k in inputs.grid_sizes))
 
 
 def run(cfg: ExperimentConfig) -> ResultArtifact:

@@ -21,7 +21,6 @@ from .geometry import (
     NetworkRealization,
     PairingOutcome,
     build_grid,
-    grid_from_target_side,
     n_reuse_colors,
     pair_within_clusters,
     reuse_color,
@@ -226,13 +225,13 @@ def _tdma_bits(
 
 def run_scenario1(
     realization: NetworkRealization,
-    side: float,
+    k: int,
     phy: PhyConfig,
 ) -> SchemeResult:
-    """TDMA half plus clustered half over a single unsplit cache, clusters of
-    target side `side`."""
+    """TDMA half plus clustered half over a single unsplit cache, on a k x k
+    cluster grid."""
     (caches,) = realization.caches
-    grid = build_grid(grid_from_target_side(side), realization.positions)
+    grid = build_grid(k, realization.positions)
     pairing = pair_within_clusters(realization, grid, caches)
 
     slot_a = _tdma_bits(realization, pairing, phy)
@@ -242,19 +241,19 @@ def run_scenario1(
 
 def run_scenario2(
     realization: NetworkRealization,
-    side1: float,
-    side2: float,
+    k1: int,
+    k2: int,
     phy: PhyConfig,
 ) -> SchemeResult:
     """Double time-slot delivery over a split cache.
 
-    Slot 1: clustered delivery, target side side1, cache subspace 1. Slot 2:
-    clustered delivery, target side side2 (sqrt(eps)*side1), cache subspace 2.
-    A user is in outage only if unserved in both slots.
+    Slot 1: clustered delivery on a k1 x k1 grid, cache subspace 1. Slot 2:
+    clustered delivery on the finer k2 x k2 grid (side about sqrt(eps)/k1),
+    cache subspace 2. A user is in outage only if unserved in both slots.
     """
     caches1, caches2 = realization.caches
-    grid1 = build_grid(grid_from_target_side(side1), realization.positions)
-    grid2 = build_grid(grid_from_target_side(side2), realization.positions)
+    grid1 = build_grid(k1, realization.positions)
+    grid2 = build_grid(k2, realization.positions)
     pairing1 = pair_within_clusters(realization, grid1, caches1)
     pairing2 = pair_within_clusters(realization, grid2, caches2)
 

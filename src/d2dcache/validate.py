@@ -182,10 +182,6 @@ def hit_probability_curve(model, S: int, seed: int, n_draws: int) -> list[dict]:
     return rows
 
 
-def suite_log_inequality(n: int = 100_000) -> SuiteReport:
-    return check_log_inequality(_SEED, n)
-
-
 def suite_mini_network(n_real: int = _MINI.n_realizations) -> list[SuiteReport]:
     """One run of the mini network: the SINR-floor and transport-slack checks
     on its first 20 trials, the outage check on all of them."""
@@ -204,17 +200,9 @@ def suite_mini_network(n_real: int = _MINI.n_realizations) -> list[SuiteReport]:
     ]
 
 
-def suite_fixed_point(n: int = 10_000) -> SuiteReport:
-    return check_fixed_point(_SEED, n)
-
-
-def suite_placement_marginals(n_draws: int = 40_000) -> SuiteReport:
-    policy = caching.optimize_policy(PopularityModel(M=20, gamma=0.8, q=2.0), 3, 12.0)
-    return check_placement_marginals(policy, _SEED, n_draws)
-
-
 def run_all() -> list[SuiteReport]:
+    policy = caching.optimize_policy(PopularityModel(M=20, gamma=0.8, q=2.0), 3, 12.0)
     return [
-        suite_log_inequality(), *suite_mini_network(), suite_fixed_point(),
-        suite_placement_marginals(),
+        check_log_inequality(_SEED, 100_000), *suite_mini_network(),
+        check_fixed_point(_SEED, 10_000), check_placement_marginals(policy, _SEED, 40_000),
     ]

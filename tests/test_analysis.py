@@ -66,11 +66,10 @@ def test_po_lt1_in_range_over_grid():
 
 
 def test_po_lt1_rejects_out_of_regime():
-    m = PopularityModel(M=100, gamma=0.6, q=0.0)
-    with pytest.raises(ValueError):
-        po_sec_gamma_lt1(1e6, m, 2)
-    with pytest.raises(ValueError):
-        po_sec_gamma_lt1(10.0, PopularityModel(M=100, gamma=1.5, q=5.0), 2)
+    for gc, m in ((1e6, PopularityModel(M=100, gamma=0.6, q=0.0)),
+                  (10.0, PopularityModel(M=100, gamma=1.5, q=5.0))):
+        with pytest.raises(ValueError):
+            po_sec_gamma_lt1(gc, m, 2)
 
 
 def test_po_lt1_doubling_scaling():
@@ -172,9 +171,6 @@ def test_fit_loglog_noisy_recovery():
 
 
 def test_fit_loglog_errors():
-    with pytest.raises(ValueError):
-        fit_loglog([1.0, -2.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        fit_loglog([1.0], [1.0])
-    with pytest.raises(ValueError):
-        fit_loglog([2.0, 2.0], [1.0, 3.0])
+    for x, y in (([1.0, -2.0], [1.0, 1.0]), ([1.0], [1.0]), ([2.0, 2.0], [1.0, 3.0])):
+        with pytest.raises(ValueError):
+            fit_loglog(x, y)

@@ -15,7 +15,7 @@ from d2dcache.caching import (
     place_caches_batch,
     place_split_caches_batch,
 )
-from d2dcache.popularity import PopularityModel
+from d2dcache.popularity import PopularityModel, sample_request
 from d2dcache.validate import check_placement_marginals
 from waterfill_oracle import bisection_waterfill
 
@@ -26,12 +26,10 @@ GRID_ORACLE_OBJECTIVE = 0.0749709158
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        CachingPolicy(np.array([0.5, 0.6]), 2)  # sums to 1.1, not 2
-    with pytest.raises(ValueError):
-        CachingPolicy(np.array([1.5, 0.5]), 2)  # prob > 1
-    with pytest.raises(ValueError):
-        CachingPolicy(np.array([1.0]), 2)  # S > M
+    # sums to 1.1, not 2; a probability above 1; S > M
+    for probs in ([0.5, 0.6], [1.5, 0.5], [1.0]):
+        with pytest.raises(ValueError):
+            CachingPolicy(np.array(probs), 2)
     CachingPolicy(np.array([0.25, 0.75]), 1)
 
 
@@ -57,12 +55,9 @@ def test_optimize_matches_grid_search_oracle():
 
 def test_optimize_errors():
     m = PopularityModel(M=4, gamma=0.5, q=0.0)
-    with pytest.raises(ValueError):
-        optimize_policy(m, 5, 1.0)
-    with pytest.raises(ValueError):
-        optimize_policy(m, 0, 1.0)
-    with pytest.raises(ValueError):
-        optimize_policy(m, 2, -1.0)
+    for S, g_c in ((5, 1.0), (0, 1.0), (2, -1.0)):
+        with pytest.raises(ValueError):
+            optimize_policy(m, S, g_c)
 
 
 @settings(max_examples=25, deadline=None)
@@ -224,8 +219,6 @@ def test_placement_against_poisson_cluster_outage():
     total = int(occupants.sum())
     caches = place_caches_batch(pol, rng, total)
     owner = np.repeat(np.arange(n_draws), occupants)
-    from d2dcache.popularity import sample_request
-
     requests = sample_request(m, rng, size=n_draws)
     hit_rows = (caches == requests[owner, None]).any(axis=1)
     hits = np.bincount(owner[hit_rows], minlength=n_draws) > 0

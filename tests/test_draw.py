@@ -87,7 +87,7 @@ def test_sorted_search_equals_plain_searchsorted(data, table, S):
 def test_interval_partition_equals_plain_searchsorted(data, policy):
     S, M = policy.cache_size, policy.M
     edges = np.concatenate(([0.0], np.cumsum(policy.probs)))
-    edges[-1] = float(S)
+    edges[np.flatnonzero(policy.probs)[-1] + 1:] = float(S)  # from the last cached file on
     for u in _sizes(data.draw(_queries(edges, S))):
         # no clamp to file M: every point stays below the last edge
         expect = np.searchsorted(edges, _points(u, S), side="right")
@@ -95,6 +95,7 @@ def test_interval_partition_equals_plain_searchsorted(data, policy):
         assert got.dtype == np.int64 and got.shape == (len(u), S)
         assert np.array_equal(got, expect)
         assert np.all((got >= 1) & (got <= M))
+        assert np.all(policy.probs[got - 1] > 0)
 
 
 @pytest.mark.parametrize("probs, files", [
@@ -106,6 +107,16 @@ def test_interval_partition_distinct_at_largest_offset(probs, files):
     # still land in its own interval, not in the next one or on file M twice
     got = _interval_partition(np.array(probs), 3, np.array([BELOW_ONE]))
     assert got.tolist() == [files]
+
+
+def test_interval_partition_never_draws_an_uncached_file():
+    # the slot-2 policy of the shipped scaling_gt1 point q = 1024 (M = 51 200,
+    # 2*eps*g_c = 128) caches only its first 710 files, and their prefix sum
+    # rounds below S = 2: the points above it belong to file 710, not to file M
+    policy = optimize_policy(PopularityModel(M=51_200, gamma=1.5, q=1024.0), 2, 128.0)
+    assert np.flatnonzero(policy.probs)[-1] + 1 == 710
+    got = _interval_partition(policy.probs, policy.cache_size, np.array([BELOW_ONE, 1 - 1e-15]))
+    assert got[:, -1].tolist() == [710, 710]
 
 
 @settings(max_examples=150, deadline=None)

@@ -53,10 +53,9 @@ def test_grid_from_target_side():
     assert grid_from_target_side(0.25) == 4
     assert grid_from_target_side(0.3) == 3
     assert grid_from_target_side(1.0) == 1
-    with pytest.raises(ValueError):
-        grid_from_target_side(0.0)
-    with pytest.raises(ValueError):
-        grid_from_target_side(1.5)
+    for side in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            grid_from_target_side(side)
 
 
 def test_reuse_color_count_and_uniqueness():
@@ -69,22 +68,16 @@ def test_reuse_color_count_and_uniqueness():
 
 
 def test_reuse_color_cochannel_separation():
-    pts = np.random.Generator(np.random.PCG64(0)).random((10, 2))
+    g = build_grid(9, np.random.Generator(np.random.PCG64(0)).random((10, 2)))
+    cx, cy = np.divmod(np.arange(g.n_cells), g.k)
+    dx, dy = np.abs(cx[:, None] - cx), np.abs(cy[:, None] - cy)
     for K in (1, 2):
-        g = build_grid(9, pts)
         colors = reuse_color(g, K)
         p = 2 * (K + 1)
-        cells = np.arange(g.n_cells)
-        cx, cy = cells // g.k, cells % g.k
-        for color in np.unique(colors):
-            idx = np.nonzero(colors == color)[0]
-            for i in idx:
-                for j in idx:
-                    if i == j:
-                        continue
-                    dx, dy = abs(int(cx[i] - cx[j])), abs(int(cy[i] - cy[j]))
-                    assert dx % p == 0 and dy % p == 0
-                    assert max(dx, dy) >= p  # Chebyshev separation
+        same = (colors[:, None] == colors) & ~np.eye(g.n_cells, dtype=bool)
+        assert same.any()
+        assert np.all(dx[same] % p == 0) and np.all(dy[same] % p == 0)
+        assert np.all(np.maximum(dx, dy)[same] >= p)  # Chebyshev separation
 
 
 def _brute_force_pairing(realization, grid):

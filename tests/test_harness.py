@@ -22,8 +22,10 @@ from d2dcache.config import (
 )
 from d2dcache.geometry import grid_from_target_side
 from d2dcache.phy import PhyConfig, interference_upper_bound, sinr_floor
+from d2dcache.popularity import PopularityModel
 from d2dcache.regimes import REGIMES
 from d2dcache.runner import (
+    artifact_rows,
     build_point_inputs,
     run,
     run_point,
@@ -81,20 +83,18 @@ def test_config_roundtrip(tmp_path):
 
 
 def test_config_validation_errors():
-    with pytest.raises(ValueError):
-        config_from_dict({**BASE, "scheme": "scenario9"})
-    with pytest.raises(ValueError):
-        config_from_dict({**BASE, "regime": "gamma_gt1"})  # gamma 0.6 inconsistent
-    with pytest.raises(ValueError):
-        config_from_dict({**BASE, "scheme": "scenario2", "S": 3})  # odd split
-    with pytest.raises(ValueError):
-        config_from_dict({**BASE, "scheme": "scenario2", "regime": "zipf_gt1", "gamma": 1.5})
-    with pytest.raises(ValueError):
-        config_from_dict({**BASE, "bogus_key": 1})
     missing = dict(BASE)
     del missing["M"]
-    with pytest.raises(ValueError):
-        config_from_dict(missing)
+    for raw in (
+        {**BASE, "scheme": "scenario9"},
+        {**BASE, "regime": "gamma_gt1"},  # gamma 0.6 inconsistent
+        {**BASE, "scheme": "scenario2", "S": 3},  # odd split
+        {**BASE, "scheme": "scenario2", "regime": "zipf_gt1", "gamma": 1.5},
+        {**BASE, "bogus_key": 1},
+        missing,
+    ):
+        with pytest.raises(ValueError):
+            config_from_dict(raw)
     for key, value in BAD_TYPES:
         with pytest.raises(ValueError, match=key):
             config_from_dict({**BASE, key: value})
@@ -276,10 +276,11 @@ def test_point_inputs_share_one_occupancy(regime, scheme, over):
         closed = finite_n_outage(solved, inputs.model, cfg.N, grid_from_target_side(side) ** 2)
         assert inputs.sides == (side,)
     assert inputs.closed_form == closed
-    # the trial's grids are built from exactly these sides
+    assert inputs.grid_sizes == tuple(grid_from_target_side(s) for s in inputs.sides)
+    # the trial's grids are exactly these sizes
     result, _, _ = run_trial(cfg, inputs, 0)
     realized = tuple(s.cluster_side for s in result.slots if s.cluster_side is not None)
-    assert realized == tuple(1.0 / grid_from_target_side(s) for s in inputs.sides)
+    assert realized == tuple(1.0 / k for k in inputs.grid_sizes)
 
 
 @pytest.mark.parametrize(
@@ -358,9 +359,7 @@ def test_run_sweep_emits_fit(tmp_path):
     assert artifact.fit["x"] == "S/M"
     assert artifact.fit["slope"] == fit.slope
     assert artifact.predicted_exponent == 1.0  # scenario1, gamma<1
-    header, rows = __import__("d2dcache.runner", fromlist=["artifact_rows"]).artifact_rows(
-        artifact, cfg
-    )
+    header, rows = artifact_rows(artifact, cfg)
     assert header[:3] == ["point", "M", "N"]
     assert len(rows) == 3
 
@@ -374,15 +373,23 @@ def test_infeasible_point_recorded_not_fatal():
     assert p.error is not None and "cluster side" in p.error
 
 
-def test_failing_trial_recorded_not_fatal():
+def test_failing_trial_recorded_not_fatal(tmp_path):
     # at M = 8 the split-cache draw gives up inside the trial; M = 64 draws fine
     raw = yaml.safe_load((CONFIGS / "scaling_lt1.yaml").read_text())
     raw.update(gamma=0.8, q=0.0, C_sec=0.5, n_realizations=1)
     raw["sweep"]["values"] = [8, 64]
     cfg = config_from_dict(raw)
-    bad, good = run(cfg).points
+    artifact = run(cfg)
+    bad, good = artifact.points
     assert bad.estimate is None and "could not draw disjoint cache subspaces" in bad.error
     assert good.error is None and good.estimate == run_point(sweep_points(cfg)[1]).estimate
+    # the failed point keeps its swept params and leaves its estimate cells empty
+    write_artifact(artifact, cfg, tmp_path, "both")
+    header, bad_row, _ = (tmp_path / "results.csv").read_text().splitlines()
+    assert header.startswith("point,M,N,T_min_avg,") and bad_row == "0,8,400,,,,,,"
+    bad_json, good_json = _strict_json((tmp_path / "results.json").read_text())["points"]
+    assert "estimate" not in bad_json and bad_json["error"] == bad.error
+    assert "estimate" in good_json and good_json["error"] is None
 
 
 def test_rerun_and_thread_count_byte_identical(tmp_path):
@@ -405,10 +412,16 @@ def test_rerun_and_thread_count_byte_identical(tmp_path):
 
 def test_cli_simulate_and_analyze(tmp_path, capsys):
     path = _write_cfg(tmp_path)
-    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
+    rc = main(["simulate", "--config", str(path), "--threads", "1", "--out", str(tmp_path / "sim")])
     assert rc == 0
     assert (tmp_path / "sim" / "results.csv").exists()
-    assert (tmp_path / "sim" / "run_info.json").exists()
+    assert json.loads((tmp_path / "sim" / "run_info.json").read_text())["threads"] == 1
+    capsys.readouterr()
+    # sweep of a config without a sweep section runs its single point, and says so
+    main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw")])
+    assert capsys.readouterr().err == "config has no sweep section; running the single point\n"
+    sim, sw = ((tmp_path / d / "results.csv").read_bytes() for d in ("sim", "sw"))
+    assert sim == sw
 
     rc = main(["analyze", "--config", str(path), "--out", str(tmp_path / "an")])
     assert rc == 0
@@ -421,16 +434,16 @@ def test_cli_simulate_and_analyze(tmp_path, capsys):
 def test_cli_analyze_shipped_config(tmp_path, path):
     cfg = load_config(path)
     argv = ["analyze", "--config", str(path), "--out", str(tmp_path), "--format", "both"]
-    if path.name == "scaling_gt1.yaml":
-        # every slot-2 closed form of this sweep sits below C2 = 10 (ROADMAP item 5)
-        with pytest.warns(UserWarning, match=r"C2=\S+ < 10") as record:
-            rc = main(argv)
-        assert len(record) == len(sweep_points(cfg))
-    else:
-        rc = main(argv)
-    assert rc == 0
+    assert main(argv) == 0
     data = json.loads((tmp_path / "analysis.json").read_text())
     assert len(data["points"]) == len(sweep_points(cfg))
+    # slot 2 reports the exact Poisson outage of its own solved policy
+    for point, entry in zip(sweep_points(cfg), data["points"]):
+        if point.scheme == "scenario2":
+            model = PopularityModel(M=point.M, gamma=point.gamma, q=point.q)
+            g2 = 2.0 * entry["epsilon"] * entry["occupancy"]
+            policy = optimize_policy(model, point.S // 2, g2)
+            assert entry["slot2_outage_closed_form"] == closed_form_outage(policy, model, g2)
     # each CSV row is its JSON point: shortest round-trip floats, empty where missing
     header, *rows = (tmp_path / "analysis.csv").read_text().splitlines()
     keys = header.split(",")
@@ -477,6 +490,10 @@ def test_cli_sweep_two_points_writes_strict_json(tmp_path):
     data = _strict_json((tmp_path / "sw" / "results.json").read_text())
     assert data["fit"]["n_points"] == 2
     assert data["fit"]["slope_stderr"] is None
+    # simulate of a sweep config runs only its base point, M = 50
+    main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
+    (point,) = _strict_json((tmp_path / "sim" / "results.json").read_text())["points"]
+    assert point["params"]["M"] == 50 and point["params"]["N"] == 2000
 
 
 def test_cli_analyze_records_infeasible_point(tmp_path):
@@ -532,18 +549,9 @@ def test_zipf_regime_single_point():
 
 
 def test_cli_sweep_scenario2(tmp_path):
-    raw = {
-        **BASE,
-        "scheme": "scenario2",
-        "N": 20000,
-        "M": 200,
-        "rho_or_alpha1": 4.0,
-        "q": 10.0,
-        "n_realizations": 2,
-        "sweep": {"param": "M", "values": [100, 200], "couple": {"N": "100 * M"}},
-    }
-    path = tmp_path / "s2.yaml"
-    path.write_text(yaml.safe_dump(raw))
+    sweep = {"param": "M", "values": [100, 200], "couple": {"N": "100 * M"}}
+    path = _write_cfg(tmp_path, "s2.yaml", scheme="scenario2", N=20000, M=200,
+                      rho_or_alpha1=4.0, q=10.0, n_realizations=2, sweep=sweep)
     rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw"), "--format", "csv"])
     assert rc == 0
     lines = (tmp_path / "sw" / "results.csv").read_text().splitlines()

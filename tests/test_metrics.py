@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from d2dcache.config import ExperimentConfig
-from d2dcache.geometry import build_realization
 from d2dcache.metrics import (
     ThroughputAccumulator,
     bound_constant,
@@ -16,8 +15,8 @@ from d2dcache.metrics import (
     transport_capacity,
 )
 from d2dcache.phy import PhyConfig, path_gain
-from d2dcache.runner import build_point_inputs
-from d2dcache.schemes import SchemeResult, SlotResult, run_scenario1, run_scenario2
+from d2dcache.runner import build_point_inputs, run_trials
+from d2dcache.schemes import SchemeResult, SlotResult
 
 PHY = PhyConfig()
 
@@ -155,19 +154,13 @@ def test_bound_short_link_term():
 
 @pytest.mark.parametrize("scheme", ["scenario1", "scenario2"])
 def test_bound_holds_on_simulated_schedules(scheme):
-    S, N, rho = 2, 5000, 4.0
-    inputs = build_point_inputs(ExperimentConfig(
-        scheme=scheme, regime="gamma_lt1", N=N, M=100, S=S, gamma=0.6, q=10.0,
-        rho_or_alpha1=rho, n_realizations=1, base_seed=0,
-    ))
-    run_scheme = run_scenario2 if scheme == "scenario2" else run_scenario1
-    r0 = 0.1 * math.sqrt(rho * 100 / (S * N))
-    for seed in range(20):
-        realization = build_realization(inputs.model, inputs.policies, N, 7100 + seed)
-        res = run_scheme(realization, *inputs.sides, PHY)
+    cfg = ExperimentConfig(
+        scheme=scheme, regime="gamma_lt1", N=5000, M=100, S=2, gamma=0.6, q=10.0,
+        rho_or_alpha1=4.0, n_realizations=20, base_seed=7100, check_bounds=True, threads=2,
+    )
+    for trial, (res, c_gamma, slack) in enumerate(run_trials(cfg, build_point_inputs(cfg))):
         assert len(res.slots) == 2 and all(len(s.link_rx) for s in res.slots)
-        slack = check_transport_bound(res, PHY, r0, 0.1)
-        assert slack >= 0, f"seed {seed}: C_gamma={transport_capacity(res)} slack={slack}"
+        assert slack >= 0, f"trial {trial}: C_gamma={c_gamma} slack={slack}"
 
 
 def test_bound_argument_validation():

@@ -35,14 +35,9 @@ def cfg(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        cfg(alpha=2.0)
-    with pytest.raises(ValueError):
-        cfg(gain_cap=1.5)
-    with pytest.raises(ValueError):
-        cfg(K=0)
-    with pytest.raises(ValueError):
-        cfg(Pmax=0.0)
+    for bad in ({"alpha": 2.0}, {"gain_cap": 1.5}, {"K": 0}, {"Pmax": 0.0}):
+        with pytest.raises(ValueError):
+            cfg(**bad)
 
 
 def test_path_gain_values():
@@ -145,11 +140,9 @@ def test_sinr_floor_noise_free_limit():
 
 
 def test_sinr_floor_argument_validation():
-    c = cfg()
-    with pytest.raises(ValueError):
-        sinr_floor(0.1, c, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        sinr_floor(0.1, c, 0.5, 2.0)  # nu_upp > Pmax
+    for nu_low, nu_upp in ((0.0, 1.0), (0.5, 2.0)):  # nu_low = 0; nu_upp > Pmax
+        with pytest.raises(ValueError):
+            sinr_floor(0.1, cfg(), nu_low, nu_upp)
 
 
 def test_sinr_capped_by_gain_cap():

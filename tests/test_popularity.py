@@ -26,12 +26,9 @@ def test_pmf_values():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        PopularityModel(M=0, gamma=0.5, q=0.0)
-    with pytest.raises(ValueError):
-        PopularityModel(M=3, gamma=-0.1, q=0.0)
-    with pytest.raises(ValueError):
-        PopularityModel(M=3, gamma=0.5, q=-1.0)
+    for M, gamma, q in ((0, 0.5, 0.0), (3, -0.1, 0.0), (3, 0.5, -1.0)):
+        with pytest.raises(ValueError):
+            PopularityModel(M=M, gamma=gamma, q=q)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,6 @@ from d2dcache.geometry import (
     PairingOutcome,
     build_grid,
     build_realization,
-    grid_from_target_side,
     pair_within_clusters,
 )
 from d2dcache.phy import PhyConfig, path_gain
@@ -24,7 +23,7 @@ from d2dcache.popularity import PopularityModel
 from d2dcache.regimes import REGIMES
 from d2dcache.runner import build_point_inputs, run_trials
 from d2dcache.schemes import _clustered_bits, run_scenario1, run_scenario2
-from d2dcache.validate import check_outage_closed_form, check_sinr_floor, cluster_ratios
+from d2dcache.validate import _MINI, check_outage_closed_form, check_sinr_floor, cluster_ratios
 from link_oracle import (
     ActiveLink,
     ActiveSet,
@@ -42,13 +41,9 @@ def _config(**over):
     return ExperimentConfig(**{**base, **over})
 
 
-def _side(model, S, N, rho):
-    """Target cluster side of a gamma < 1 point: sqrt(rho*M/S / N)."""
-    return math.sqrt(rho * model.M / S / N)
-
-
 def test_cluster_side_values():
     assert build_point_inputs(_config(S=4)).sides == (pytest.approx(0.05),)
+    assert build_point_inputs(_config(S=4)).grid_sizes == (20,)
     gt1 = _config(regime="gamma_gt1", gamma=1.5, M=1000, q=50.0, N=100_000, rho_or_alpha1=2.0)
     assert build_point_inputs(gt1).sides == (pytest.approx(math.sqrt(100.0 / 200_000.0)),)
     # doubling M at fixed N, S, rho scales d by sqrt(2)
@@ -85,7 +80,7 @@ def test_full_cache_never_outages():
     m = PopularityModel(M=4, gamma=0.7, q=0.0)
     policy = optimize_policy(m, 4, 10.0)
     realization = build_realization(m, (policy,), 500, 1)
-    res = run_scenario1(realization, _side(m, 4, 500, 2.0), PHY)
+    res = run_scenario1(realization, 16, PHY)
     assert res.outage_fraction == 0.0
     assert np.all(res.per_user_bits > 0)
 
@@ -94,7 +89,7 @@ def test_single_user_tdma_degenerate():
     m = PopularityModel(M=1, gamma=0.5, q=0.0)
     policy = optimize_policy(m, 1, 1.0)
     realization = build_realization(m, (policy,), 1, 0)
-    res = run_scenario1(realization, _side(m, 1, 1, 1.0), PHY)
+    res = run_scenario1(realization, 1, PHY)
     tdma = res.slot("tdma")
     # the lone user self-serves, full band, half the epoch, capped gain
     snr = PHY.Pmax * PHY.gain_cap / (PHY.B * PHY.N0)
@@ -105,15 +100,10 @@ def test_single_user_tdma_degenerate():
     assert tdma.airtime == pytest.approx(0.5)
 
 
-def _mini(**over):
-    """validate's mini network: M=100, N=5000, S=2, gamma=0.6, q=10, rho=4."""
-    return _config(N=5000, M=100, S=2, q=10.0, rho_or_alpha1=4.0, threads=2, **over)
-
-
 def test_scenario1_outage_matches_closed_form_small():
     # the runner's scenario-1 closed form is the outage of exactly N users on
     # the trial's grid, self-service included; it lies below the Poisson form
-    cfg = _mini(n_realizations=300, base_seed=600)
+    cfg = replace(_MINI, n_realizations=300, base_seed=600)
     inputs = build_point_inputs(cfg)
     assert inputs.closed_form < closed_form_outage(*inputs.policies, inputs.model, inputs.occupancy)
     fracs = [res.outage_fraction for res, _, _ in run_trials(cfg, inputs)]
@@ -125,7 +115,7 @@ def test_scenario1_equal_service_per_cycle():
     m = PopularityModel(M=50, gamma=0.7, q=5.0)
     policy = optimize_policy(m, 2, 50.0)
     realization = build_realization(m, (policy,), 2000, 8)
-    res = run_scenario1(realization, _side(m, 2, 2000, 2.0), PHY)
+    res = run_scenario1(realization, 6, PHY)
     for label in ("tdma", "cluster"):
         rx = res.slot(label).link_rx
         assert len(np.unique(rx)) == len(rx)
@@ -139,16 +129,15 @@ def test_scenario1_equal_service_per_cycle():
 def test_scenario1_deterministic():
     m = PopularityModel(M=30, gamma=0.8, q=2.0)
     policy = optimize_policy(m, 2, 30.0)
-    side = _side(m, 2, 1000, 2.0)
-    a = run_scenario1(build_realization(m, (policy,), 1000, 5), side, PHY)
-    b = run_scenario1(build_realization(m, (policy,), 1000, 5), side, PHY)
+    a = run_scenario1(build_realization(m, (policy,), 1000, 5), 6, PHY)
+    b = run_scenario1(build_realization(m, (policy,), 1000, 5), 6, PHY)
     assert np.array_equal(a.per_user_bits, b.per_user_bits)
 
 
 @pytest.fixture(scope="module")
 def mini_cluster_ratios():
-    """cluster_ratios of 120 runner trials of the mini network at base seed 300."""
-    cfg = _mini(n_realizations=120, base_seed=300)
+    """cluster_ratios of 120 runner trials of validate's mini network at base seed 300."""
+    cfg = replace(_MINI, n_realizations=120, base_seed=300)
     ratios = [cluster_ratios(res, PHY) for res, _, _ in run_trials(cfg, build_point_inputs(cfg))]
     return cfg, ratios
 
@@ -179,9 +168,8 @@ def test_scenario2_requires_split_caches():
     m = PopularityModel(M=50, gamma=0.6, q=2.0)
     policy = optimize_policy(m, 2, 50.0)
     realization = build_realization(m, (policy,), 500, 0)
-    side = _side(m, 2, 500, 2.0)
     with pytest.raises(ValueError):
-        run_scenario2(realization, side, side, PHY)
+        run_scenario2(realization, 3, 3, PHY)
 
 
 def test_scenario2_identical_construction_when_eps_one():
@@ -192,9 +180,8 @@ def test_scenario2_identical_construction_when_eps_one():
     g_c = rho * m.M / S
     split = build_split_policy(m, S, 2 * g_c, 2 * g_c)
     assert np.array_equal(split[0].probs, split[1].probs)
-    side = _side(m, S, N, rho)
     realization = build_realization(m, split, N, 23)
-    res = run_scenario2(realization, side, side, PHY)
+    res = run_scenario2(realization, 5, 5, PHY)
     s1, s2 = res.slot("cluster1"), res.slot("cluster2")
     assert s1.cluster_side == s2.cluster_side
     assert len(s1.link_rx) == pytest.approx(len(s2.link_rx), rel=0.05)
@@ -204,7 +191,7 @@ def test_scenario2_identical_construction_when_eps_one():
 
 def test_scenario2_slot2_links_shorter():
     inputs, realization = _scenario2_setup()
-    res = run_scenario2(realization, *inputs.sides, PHY)
+    res = run_scenario2(realization, *inputs.grid_sizes, PHY)
     assert res.slot("cluster2").link_distance.mean() < res.slot("cluster1").link_distance.mean()
     d1, d2 = (res.slot(label).cluster_side for label in ("cluster1", "cluster2"))
     assert d2 < d1
@@ -214,32 +201,25 @@ def test_scenario2_slot2_links_shorter():
 def test_scenario2_slot2_rate_and_total_advantage():
     # paired comparison on shared seeds: the short-link slot carries a higher
     # per-link rate and the double-slot scheme beats the single-cache scheme
-    N = 50_000
-    cfg = _config(N=N, M=400, q=10.0, S=4, rho_or_alpha1=4.0, C_sec=4.0)
-    in1 = build_point_inputs(cfg)
-    in2 = build_point_inputs(replace(cfg, scheme="scenario2"))
-    rate1, rate2, t2tot, t1tot = [], [], [], []
-    for seed in range(5):
-        r2 = build_realization(in2.model, in2.policies, N, 900 + seed)
-        res2 = run_scenario2(r2, *in2.sides, PHY)
-        r1 = build_realization(in1.model, in1.policies, N, 900 + seed)
-        res1 = run_scenario1(r1, *in1.sides, PHY)
-        rate1.append(res2.slot("cluster1").link_rate.mean())
-        rate2.append(res2.slot("cluster2").link_rate.mean())
-        t2tot.append(res2.per_user_bits.mean())
-        t1tot.append(res1.per_user_bits.mean())
+    cfg = _config(N=50_000, M=400, q=10.0, S=4, rho_or_alpha1=4.0, C_sec=4.0,
+                  n_realizations=5, base_seed=900, threads=2)
+    cfg2 = replace(cfg, scheme="scenario2")
+    res1 = [res for res, _, _ in run_trials(cfg, build_point_inputs(cfg))]
+    res2 = [res for res, _, _ in run_trials(cfg2, build_point_inputs(cfg2))]
+    rate1, rate2 = ([r.slot(f"cluster{i}").link_rate.mean() for r in res2] for i in (1, 2))
     assert np.mean(rate2) > np.mean(rate1)
-    assert np.mean(t2tot) > np.mean(t1tot)
+    bits1, bits2 = ([r.per_user_bits.mean() for r in res] for res in (res1, res2))
+    assert np.mean(bits2) > np.mean(bits1)
 
 
 def test_scenario2_outage_only_when_both_slots_miss():
     # a user is served iff the pairing of either slot's grid and cache block
     # reaches it, and exactly the served users carry bits
     inputs, realization = _scenario2_setup(N=10_000, seed=31)
-    res = run_scenario2(realization, *inputs.sides, PHY)
+    res = run_scenario2(realization, *inputs.grid_sizes, PHY)
     reached = np.zeros(realization.n_users, dtype=bool)
-    for side, caches in zip(inputs.sides, realization.caches):
-        grid = build_grid(grid_from_target_side(side), realization.positions)
+    for k, caches in zip(inputs.grid_sizes, realization.caches):
+        grid = build_grid(k, realization.positions)
         reached[pair_within_clusters(realization, grid, caches).rx] = True
     assert 0 < reached.sum() < realization.n_users
     assert np.array_equal(res.per_user_served, reached)
@@ -259,7 +239,7 @@ def test_per_user_bits_sum_the_slots_that_serve_each_user(scheme, N, seed):
     inputs = build_point_inputs(cfg)
     realization = build_realization(inputs.model, inputs.policies, N, seed)
     run = run_scenario2 if scheme == "scenario2" else run_scenario1
-    res = run(realization, *inputs.sides, PHY)
+    res = run(realization, *inputs.grid_sizes, PHY)
     for slot in res.slots:
         assert len(np.unique(slot.link_rx)) == len(slot.link_rx)
     bits, served = res.per_user_bits, res.per_user_served

@@ -1,0 +1,54 @@
+"""Every top-level function, class and constant of the package is used beyond
+its own lines somewhere in src/, tests/, scripts/ or bench/."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every loaded name and attribute, matched by name alone,
+    and the attribute string of every Target(owner, "attr", ...), a name the
+    bench rebinds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target":
+            yield node.args[1].value, node.lineno
+
+
+def unused_definitions(package: Path, files) -> list[str]:
+    """`file:line name` of every top-level def, class or assigned name of the
+    package's modules that no file references outside the definition."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    refs = [(name, path, line) for path, tree in trees.items() for name, line in _references(tree)]
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for node in trees[path].body:
+            targets = getattr(node, "targets", [getattr(node, "target", node)])
+            for name in [getattr(t, "id", getattr(t, "name", None)) for t in targets]:
+                if name and not name.startswith("__") and not any(
+                    n == name and (p != path or not node.lineno <= line <= node.end_lineno)
+                    for n, p, line in refs
+                ):
+                    unused.append(f"{path.relative_to(package.parent)}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_unused_definitions():
+    files = [p for d in ("src", "tests", "scripts", "bench") for p in (ROOT / d).rglob("*.py")]
+    found = unused_definitions(ROOT / "src" / "d2dcache", files)
+    assert not found, "definitions nothing uses:\n" + "\n".join(found)
+
+
+def test_scan_reports_unused_and_counts_targets(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    lib, user = tmp_path / "pkg" / "m.py", tmp_path / "user.py"
+    lib.write_text("LIMIT = 3\ndef rec(n):\n    return rec(n - 1) if n else LIMIT\n"
+                   "def used(): pass\ndef rebound(): pass\nclass Lone: pass\n", encoding="utf-8")
+    user.write_text("import m\nm.used()\nTarget(m, 'rebound', 'layer')\n", encoding="utf-8")
+    found = unused_definitions(tmp_path / "pkg", [lib, user])
+    assert found == ["pkg/m.py:2 rec", "pkg/m.py:6 Lone"]
