@@ -57,8 +57,10 @@ def _fixed_point_residual(c1: float, c2: float) -> float:
 def solve_c1_c2(gc_prime: float, q: float, S: int, gamma: float) -> FixedPointConstants:
     """Solve C1 = 1 + C2*ln(1 + C1/C2) with C2 = q*gamma/(S*gc_prime).
 
-    Damped Newton from the large-C2 asymptote 1 + sqrt(2*C2), with bisection
-    fallback; g(C1) is strictly increasing so the root is unique.
+    Newton's method on g(C1) = C1 - 1 - C2*ln(1 + C1/C2), started at the
+    large-C2 asymptote 1 + sqrt(2*C2). g is increasing and convex, and
+    g(1 + sqrt(2*C2)) > 0 for every C2 > 0 because ln(1 + y) <= y/sqrt(1 + y).
+    So the iterates descend monotonically onto the unique root.
     """
     if gc_prime <= 0:
         raise ValueError(f"gc_prime must be positive, got {gc_prime}")
@@ -68,23 +70,12 @@ def solve_c1_c2(gc_prime: float, q: float, S: int, gamma: float) -> FixedPointCo
     if c2 == 0.0:
         return FixedPointConstants(C1=1.0, C2=0.0, gc_prime=gc_prime, residual=0.0)
 
-    lo, hi = 1.0, 1.0 + math.sqrt(2.0 * c2) + c2  # g(lo) <= 0; g grows ~linearly past the root
-    while _fixed_point_residual(hi, c2) < 0.0:
-        hi *= 2.0
     c1 = 1.0 + math.sqrt(2.0 * c2)
     for _ in range(_MAX_FP_ITER):
         g = _fixed_point_residual(c1, c2)
         if abs(g) <= 0.5 * RESIDUAL_TOL * max(1.0, c1):
             break
-        if g > 0.0:
-            hi = min(hi, c1)
-        else:
-            lo = max(lo, c1)
-        dg = 1.0 - c2 / (c2 + c1)  # = c1/(c1+c2) > 0
-        step = g / dg
-        c1_new = c1 - step
-        if not (lo < c1_new < hi):
-            c1_new = 0.5 * (lo + hi)
+        c1_new = c1 - g / (1.0 - c2 / (c2 + c1))
         if c1_new == c1:
             break
         c1 = c1_new

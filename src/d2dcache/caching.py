@@ -15,6 +15,7 @@ solves that piece's linear equation exactly.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,12 @@ class CachingPolicy:
             raise ValueError(
                 f"infeasible policy: cache_size {self.cache_size} exceeds library size {len(p)}"
             )
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+        if np.any(p < 0.0) or np.any(p > 1.0):  # interval lengths <= 1 for exact-S placement
             raise ValueError("caching probabilities must lie in [0, 1]")
         if abs(float(p.sum()) - self.cache_size) > SUM_TOL:
             raise ValueError(
                 f"caching probabilities sum to {p.sum():.12g}, expected {self.cache_size}"
             )
-        p = np.clip(p, 0.0, 1.0)  # keep interval lengths <= 1 for exact-S placement
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -86,14 +86,7 @@ def _waterfill_probs(prob_mass: np.ndarray, S: int, g_c: float) -> np.ndarray:
 
     def below_budget(shift: float) -> int:
         """Number of breakpoints v_f + shift at which T < S."""
-        lo, hi = 0, n_mass
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if budget(float(v[mid]) + shift) < S:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect.bisect_left(range(n_mass), S, key=lambda f: budget(float(v[f]) + shift))
 
     b, a = below_budget(0.0), below_budget(g_c)
     # b == a: the b files below the level are all full
