@@ -30,9 +30,9 @@ class FixedPointConstants:
     residual: float
 
     def __post_init__(self):
-        if self.C1 < 1.0 - 1e-12:
+        if not self.C1 >= 1.0 - 1e-12:
             raise ValueError(f"C1 must be >= 1, got {self.C1}")
-        if abs(self.residual) > RESIDUAL_TOL * max(1.0, self.C1):
+        if not abs(self.residual) <= RESIDUAL_TOL * max(1.0, self.C1):
             raise ValueError(
                 f"fixed-point residual {self.residual:.3e} exceeds tolerance for C1={self.C1}"
             )
@@ -62,7 +62,7 @@ def solve_c1_c2(gc_prime: float, q: float, S: int, gamma: float) -> FixedPointCo
     g(1 + sqrt(2*C2)) > 0 for every C2 > 0 because ln(1 + y) <= y/sqrt(1 + y).
     So the iterates descend monotonically onto the unique root.
     """
-    if gc_prime <= 0:
+    if not gc_prime > 0:
         raise ValueError(f"gc_prime must be positive, got {gc_prime}")
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")

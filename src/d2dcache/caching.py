@@ -43,9 +43,9 @@ class CachingPolicy:
             raise ValueError(
                 f"infeasible policy: cache_size {self.cache_size} exceeds library size {len(p)}"
             )
-        if np.any(p < 0.0) or np.any(p > 1.0):  # interval lengths <= 1 for exact-S placement
+        if not np.all((p >= 0.0) & (p <= 1.0)):  # interval lengths <= 1 for exact-S placement
             raise ValueError("caching probabilities must lie in [0, 1]")
-        if abs(float(p.sum()) - self.cache_size) > SUM_TOL:
+        if not abs(float(p.sum()) - self.cache_size) <= SUM_TOL:
             raise ValueError(
                 f"caching probabilities sum to {p.sum():.12g}, expected {self.cache_size}"
             )
@@ -120,8 +120,8 @@ def optimize_policy(model: PopularityModel, S: int, g_c: float) -> CachingPolicy
         raise ValueError(f"cache size must be >= 1, got {S}")
     if S > model.M:
         raise ValueError(f"infeasible: cache size {S} exceeds library size {model.M}")
-    if g_c <= 0:
-        raise ValueError(f"g_c must be positive, got {g_c}")
+    if not 0 < g_c < np.inf:
+        raise ValueError(f"g_c must be positive and finite, got {g_c}")
     if S == model.M:
         return CachingPolicy(np.ones(model.M), S)
     pc = _waterfill_probs(model.pmf_table, S, float(g_c))

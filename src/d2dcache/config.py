@@ -77,13 +77,13 @@ class ExperimentConfig:
             raise ValueError(f"regime must be one of {tuple(REGIMES)}, got {self.regime!r}")
         for name in ("N", "M", "S", "n_realizations"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
-        if self.gamma < 0 or self.q < 0:
-            raise ValueError("gamma and q must be non-negative")
-        if self.rho_or_alpha1 <= 0 or self.C_sec <= 0 or self.eps0 <= 0:
-            raise ValueError("rho_or_alpha1, C_sec and eps0 must be positive")
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
+        for name in ("base_seed", "gamma", "q"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("rho_or_alpha1", "C_sec", "eps0"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         regime = REGIMES[self.regime]
         if not regime.allows_gamma(self.gamma):
             side = ">" if regime.gamma_above_1 else "<"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from d2dcache.analysis import (
     RESIDUAL_TOL,
+    FixedPointConstants,
     fit_loglog,
     po_sec_gamma_gt1,
     po_sec_gamma_lt1,
@@ -41,6 +42,27 @@ def test_fixed_point_residual_contract(gc, q, gamma, S):
     assert fp.C1 >= 1.0
 
 
+def test_fixed_point_rejects_bad_inputs():
+    for bad in (
+        lambda: solve_c1_c2(0.0, 1.0, 1, 0.6),
+        lambda: solve_c1_c2(math.nan, 1.0, 1, 0.6),
+        lambda: solve_c1_c2(1.0, 1.0, 0, 0.6),
+        lambda: FixedPointConstants(C1=0.5, C2=1.0, gc_prime=1.0, residual=0.0),
+        lambda: FixedPointConstants(C1=2.0, C2=1.0, gc_prime=1.0, residual=1e-9),
+        lambda: FixedPointConstants(C1=2.0, C2=1.0, gc_prime=1.0, residual=math.nan),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_fixed_point_tiny_c2_residual():
+    # below C2 = 1e-17 the root is C1 = 1 to double precision; 5e-324
+    # overflows C1/C2 and takes the residual's logarithm branch
+    for c2 in (1e-24, 1e-20, 1e-18, 5e-324):
+        fp = solve_c1_c2(1.0, c2, 1, 1.0)
+        assert abs(fp.residual) <= 1e-15, (c2, fp)
+
+
 def test_fixed_point_monotone_in_c2():
     vals = [solve_c1_c2(1.0, q, 1, 1.0).C1 for q in (0.1, 1.0, 10.0, 100.0, 1e4)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -70,6 +92,11 @@ def test_po_lt1_rejects_out_of_regime():
                   (10.0, PopularityModel(M=100, gamma=1.5, q=5.0))):
         with pytest.raises(ValueError):
             po_sec_gamma_lt1(gc, m, 2)
+
+
+def test_po_gt1_rejects_out_of_regime():
+    with pytest.raises(ValueError, match="gamma > 1"):
+        po_sec_gamma_gt1(10.0, PopularityModel(M=100, gamma=0.6, q=5.0), 2)
 
 
 def test_po_lt1_doubling_scaling():
@@ -171,6 +198,7 @@ def test_fit_loglog_noisy_recovery():
 
 
 def test_fit_loglog_errors():
-    for x, y in (([1.0, -2.0], [1.0, 1.0]), ([1.0], [1.0]), ([2.0, 2.0], [1.0, 3.0])):
+    for x, y in (([1.0, -2.0], [1.0, 1.0]), ([1.0], [1.0]), ([2.0, 2.0], [1.0, 3.0]),
+                 ([1.0, 2.0], [1.0, 2.0, 3.0])):
         with pytest.raises(ValueError):
             fit_loglog(x, y)

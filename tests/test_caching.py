@@ -26,10 +26,13 @@ GRID_ORACLE_OBJECTIVE = 0.0749709158
 
 
 def test_policy_validation():
-    # sums to 1.1, not 2; a probability above 1; S > M
-    for probs in ([0.5, 0.6], [1.5, 0.5], [1.0]):
+    # sums to 1.1, not 2; a probability above 1; S > M; a probability an ulp
+    # outside [0, 1]; NaN; not 1-d; negative size
+    for probs, size in (([0.5, 0.6], 2), ([1.5, 0.5], 2), ([1.0], 2),
+                        ([1.0 + 2.0**-52, 1.0 - 2.0**-52], 2), ([np.nan, 1.0], 1),
+                        ([[0.5], [0.5]], 1), ([], -1)):
         with pytest.raises(ValueError):
-            CachingPolicy(np.array(probs), 2)
+            CachingPolicy(np.array(probs), size)
     CachingPolicy(np.array([0.25, 0.75]), 1)
 
 
@@ -55,7 +58,7 @@ def test_optimize_matches_grid_search_oracle():
 
 def test_optimize_errors():
     m = PopularityModel(M=4, gamma=0.5, q=0.0)
-    for S, g_c in ((5, 1.0), (0, 1.0), (2, -1.0)):
+    for S, g_c in ((5, 1.0), (0, 1.0), (2, -1.0), (2, np.nan), (2, np.inf)):
         with pytest.raises(ValueError):
             optimize_policy(m, S, g_c)
 
@@ -129,8 +132,8 @@ def test_waterfill_rejects_increasing_mass():
 
 
 def test_optimize_memory_at_two_million_files():
-    # the floors, their prefix sum and the policy's own copy: at most 2.25
-    # library-length float arrays live at once (the bisection held 4)
+    # the floors and their prefix sum (the policy keeps the solve's array):
+    # at most 2.25 library-length float arrays live at once (the bisection held 4)
     m = PopularityModel(M=2_000_000, gamma=0.6, q=2.0)
     m.pmf_table
     tracemalloc.start()
@@ -163,6 +166,8 @@ def test_closed_form_empty_policy_is_one():
     m = PopularityModel(M=5, gamma=1.0, q=0.0)
     pol = CachingPolicy(np.zeros(5), 0)
     assert closed_form_outage(pol, m, 12.0) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="zero-size"):
+        place_caches_batch(pol, np.random.Generator(np.random.PCG64(0)), 1)
 
 
 def test_closed_form_dimension_mismatch():

@@ -58,6 +58,19 @@ def test_grid_from_target_side():
             grid_from_target_side(side)
 
 
+def test_realization_and_grid_validation():
+    pos, req = np.full((2, 2), 0.5), np.ones(2, dtype=np.int64)
+    cache = (np.ones((2, 1), dtype=np.int64),)
+    for bad in (
+        lambda: NetworkRealization(pos, req[:1], cache),
+        lambda: NetworkRealization(pos + 1.0, req, cache),
+        lambda: ClusterGrid(0, np.zeros(0, dtype=np.int64)),
+        lambda: reuse_color(build_grid(2, pos), 0),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_reuse_color_count_and_uniqueness():
     assert n_reuse_colors(1) == 16
     pts = np.random.Generator(np.random.PCG64(0)).random((10, 2))

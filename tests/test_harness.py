@@ -64,6 +64,12 @@ BAD_TYPES = [
     ("q", math.inf),
     ("C_sec", math.nan),
     ("eps0", math.nan),
+    ("C_sec", 0),
+    ("eps0", -0.1),
+    ("rho_or_alpha1", 0),
+    ("gamma", -0.5),
+    ("q", -1),
+    ("N", 0),
 ]
 BAD_PHY = [("alpha", "4"), ("alpha", math.inf), ("chi", math.nan), ("N0", math.nan),
            ("Pmax", math.inf)]
@@ -92,11 +98,12 @@ def test_config_validation_errors():
         {**BASE, "scheme": "scenario2", "regime": "zipf_gt1", "gamma": 1.5},
         {**BASE, "bogus_key": 1},
         missing,
+        [BASE],  # a YAML sequence, not a mapping
     ):
         with pytest.raises(ValueError):
             config_from_dict(raw)
     for key, value in BAD_TYPES:
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=f"^{key} must"):
             config_from_dict({**BASE, key: value})
     for key, value in BAD_PHY:
         with pytest.raises(ValueError, match=f"phy.{key}"):
@@ -494,6 +501,16 @@ def test_cli_sweep_two_points_writes_strict_json(tmp_path):
     main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
     (point,) = _strict_json((tmp_path / "sim" / "results.json").read_text())["points"]
     assert point["params"]["M"] == 50 and point["params"]["N"] == 2000
+
+
+def test_cli_sweep_at_one_abscissa_prints_no_slope(tmp_path, capsys):
+    # a sweep along N at fixed M and S puts both points at S/M = 0.04
+    path = _write_cfg(tmp_path, n_realizations=2, sweep={"param": "N", "values": [2000, 4000]})
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw")]) == 0
+    assert "fitted slope" not in capsys.readouterr().out
+    data = _strict_json((tmp_path / "sw" / "results.json").read_text())
+    assert data["fit"] is None
+    assert [p["params"]["N"] for p in data["points"] if "estimate" in p] == [2000, 4000]
 
 
 def test_cli_analyze_records_infeasible_point(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from d2dcache.config import ExperimentConfig
 from d2dcache.metrics import (
     ThroughputAccumulator,
+    ThroughputOutageEstimate,
     bound_constant,
     check_transport_bound,
     transport_capacity,
@@ -78,6 +79,18 @@ def test_estimate_all_outage():
 def test_estimate_empty_errors():
     with pytest.raises(ValueError):
         estimate([])
+
+
+def test_estimate_validation():
+    acc = ThroughputAccumulator()
+    acc.add(_synthetic_result([1.0], [True]), 0.0, math.nan)
+    for bad in (
+        lambda: ThroughputOutageEstimate(1.0, 1.5, 1, {}, 1.0),
+        lambda: ThroughputOutageEstimate(-1.0, 0.5, 1, {}, 1.0),
+        lambda: acc.add(_synthetic_result([1.0, 1.0], [True, True]), 0.0, math.nan),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_estimate_permutation_invariant():

@@ -116,6 +116,8 @@ def test_interference_upper_bound_value():
     c = cfg()
     val = interference_upper_bound(0.1, c, 1.0)
     assert val == pytest.approx(5000.0 * ZETA3, rel=1e-9)
+    with pytest.raises(ValueError, match="cluster side"):
+        interference_upper_bound(0.0, c, 1.0)
 
 
 def test_interference_bound_decreasing_in_K():

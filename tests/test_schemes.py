@@ -98,6 +98,8 @@ def test_single_user_tdma_degenerate():
         PHY.B * math.log2(1 + snr) * 0.5, rel=1e-12
     )
     assert tdma.airtime == pytest.approx(0.5)
+    with pytest.raises(KeyError, match="cluster2"):
+        res.slot("cluster2")
 
 
 def test_scenario1_outage_matches_closed_form_small():

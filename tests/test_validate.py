@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from d2dcache import validate
+from d2dcache import popularity, validate
 from d2dcache.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_suites_pass_and_cli_exit_zero(tmp_path, capsys):
@@ -50,12 +53,15 @@ FRACS = [0.1, 0.2, 0.3, 0.4]
     (validate.check_outage_closed_form, (FRACS, 0.379), (FRACS, 0.508), "4 realizations"),
     (validate.check_transport_slack, ([0.0, 3.0],), ([2.0, -1e-9, 5.0],),
      "1 bound violations over 3 schedules"),
+    # a NaN slack is a schedule whose bound was never checked
+    (validate.check_transport_slack, ([0.0, 3.0],), ([np.nan] * 5,),
+     "5 bound violations over 5 schedules (min slack nan)"),
     (validate.check_sinr_floor, ([(1.0, 0.2), (3.0, 1.0)],), ([(1.0, 0.2), (3.0, 1.01)],),
      "interference above its bound in 1 realizations"),
     # alpha < 1 lies outside the inequality's domain, so (0.01, 0.5) violates it
     (_log_check, ([0.01, 50.0], [1.0, 8.0]), ([0.01, 50.0], [0.5, 8.0]),
      "1 violations over 2 draws"),
-], ids=["outage", "transport_slack", "sinr_floor", "log_inequality"])
+], ids=["outage", "transport_slack", "transport_slack_nan", "sinr_floor", "log_inequality"])
 def test_checks_fail_across_their_threshold(check, passing, failing, failure_text):
     assert check(*passing, 0).passed
     report = check(*failing, 0)
@@ -64,13 +70,26 @@ def test_checks_fail_across_their_threshold(check, passing, failing, failure_tex
 
 
 def test_hit_probability_script_smoke(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "hit_probability_curve.py"),
+        [sys.executable, str(ROOT / "scripts" / "hit_probability_curve.py"),
          "--M", "20000", "--draws", "5000", "--out", str(tmp_path)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     rows = (tmp_path / "hit_probability.csv").read_text().splitlines()
     assert len(rows) == 1 + 7  # header, one row per eps*rho = 2^-4 .. 2^-10
+
+
+def test_line_trace_script_smoke():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "line_trace.py"), "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_popularity.py")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    unreached = {line.split()[0] for line in proc.stdout.splitlines() if line.startswith("src/")}
+    assert any(loc.startswith("src/d2dcache/schemes.py:") for loc in unreached)  # never imported
+    source, first = inspect.getsourcelines(popularity.sample_request)
+    sampled = {f"src/d2dcache/popularity.py:{n}" for n in range(first, first + len(source))}
+    assert not unreached & sampled
