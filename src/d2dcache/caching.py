@@ -10,7 +10,9 @@ over 0 <= Pc <= 1, sum Pc = S, where g_c is the mean number of users per
 cluster. The minimizer is a water-filling profile. Its budget sum_f Pc(f)
 is piecewise linear in the KKT multiplier, so the solve finds the linear
 piece that holds the budget S with binary searches over a prefix sum and
-solves that piece's linear equation exactly.
+solves that piece's linear equation exactly. It reads only a prefix of the
+files a little longer than the policy's support, and a policy stores Pc on
+that support prefix only.
 """
 
 from __future__ import annotations
@@ -20,28 +22,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .popularity import PopularityModel, _sorted_search
+from .popularity import PopularityModel, _non_increasing, _sorted_search
 
 SUM_TOL = 1e-9
 _MAX_SPLIT_RETRIES = 1000
+_MIN_PREFIX = 1024  # files in the solve's first prefix
 
 
 @dataclass(frozen=True)
 class CachingPolicy:
-    """Per-file caching probabilities with a total-budget constraint."""
+    """Per-file caching probabilities with a total-budget constraint.
+
+    probs holds Pc on a prefix of the M library files, the support of a
+    solved policy; every file past it has Pc = 0. M defaults to the length
+    of probs, so a full-length array is a policy too.
+    """
 
     probs: np.ndarray
     cache_size: int
+    M: int | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError("probs must be a 1-d sequence")
+        M = len(p) if self.M is None else self.M
+        if M < len(p):
+            raise ValueError(f"probs cover {len(p)} files but the library has {M}")
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
-        if len(p) < self.cache_size:
+        if M < self.cache_size:
             raise ValueError(
-                f"infeasible policy: cache_size {self.cache_size} exceeds library size {len(p)}"
+                f"infeasible policy: cache_size {self.cache_size} exceeds library size {M}"
             )
         if not np.all((p >= 0.0) & (p <= 1.0)):  # interval lengths <= 1 for exact-S placement
             raise ValueError("caching probabilities must lie in [0, 1]")
@@ -51,15 +63,23 @@ class CachingPolicy:
             )
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "M", M)
 
-    @property
-    def M(self) -> int:
-        return len(self.probs)
+    def pc_of(self, files: np.ndarray) -> np.ndarray:
+        """Pc of each 1-based file index; 0 past the stored prefix."""
+        pc = np.zeros(np.shape(files))
+        inside = files <= len(self.probs)
+        pc[inside] = self.probs[files[inside] - 1]
+        return pc
 
 
-def _waterfill_probs(prob_mass: np.ndarray, S: int, g_c: float) -> np.ndarray:
+def _waterfill_probs(
+    prob_mass: np.ndarray, S: int, g_c: float, non_increasing: bool | None = None
+) -> np.ndarray:
     """Minimize sum p*exp(-g_c*Pc) s.t. sum Pc = S, 0 <= Pc <= 1, for a
-    non-increasing mass p.
+    non-increasing mass p; returns Pc on a prefix of the files, and every
+    file past it has Pc = 0. non_increasing says whether p is known to be
+    non-increasing; None checks every file here.
 
     KKT: Pc(f) = clip((nu - v_f)/g_c, 0, 1) with floor v_f = -ln(g_c*p_f),
     non-decreasing in f, and water level nu. The budget T(nu) = sum Pc is
@@ -68,49 +88,73 @@ def _waterfill_probs(prob_mass: np.ndarray, S: int, g_c: float) -> np.ndarray:
     T costs two binary searches, so a binary search over each kind of
     breakpoint finds the piece on which T = S, and nu solves its linear
     equation. Zero mass gives v = inf and Pc = 0.
+
+    Only a prefix of the floors is read. For nu <= v[L-1] no file past L
+    has Pc > 0, so T on the first L files equals T on all of them; past
+    v[L-1] both are >= T(v[L-1]). Once T(v[L-1]) >= S, or the prefix holds
+    every file with mass, the test T >= S therefore reads the same on the
+    prefix at every breakpoint, and both searches find the same piece as on
+    the whole library. L doubles until then, and the running prefix sum of
+    each new block starts from the last one, which is bit-equal to one
+    sequential sum.
+
+    b == a means a piece on which T is flat: the first a files are full and
+    the next one is still empty. T never exceeds the number of files with
+    Pc > 0, so a = S there, or a is every file with mass and a < S; the
+    first S files are then full, the files past the mass costing nothing.
+    Otherwise the files a..b-1 on the piece have exact Pc in (0, 1], and
+    rounding leaves a gap S - sum Pc of a few ulps, spread over the files
+    strictly inside (0, 1). If rounding left no such file, every Pc would be
+    0 or 1 and the gap a whole number of files; no spread could close that,
+    and CachingPolicy's sum check reports it.
     """
-    if np.any(prob_mass[1:] > prob_mass[:-1]):
+    if non_increasing is None:
+        non_increasing = _non_increasing(prob_mass)
+    if not non_increasing:
         raise ValueError("water-filling needs a non-increasing probability mass")
-    with np.errstate(divide="ignore"):
-        v = np.log(prob_mass)
-    np.negative(v, out=v)
-    v -= np.log(g_c)
-    cs = np.zeros(len(v) + 1)
-    np.cumsum(v, out=cs[1:])
-    n_mass = int(np.searchsorted(v, np.inf))
+    M = len(prob_mass)
+    log_gc = np.log(g_c)
+    v, cs = np.empty(0), np.zeros(1)
 
     def budget(nu: float) -> float:
         a = int(np.searchsorted(v, nu - g_c, side="right"))  # full files
         b = max(a, int(np.searchsorted(v, nu)))             # files with Pc > 0
         return a + ((b - a) * nu - (cs[b] - cs[a])) / g_c
 
+    L = min(M, max(_MIN_PREFIX, 2 * S))
+    while True:
+        with np.errstate(divide="ignore"):
+            block = np.log(prob_mass[len(v):L])
+        np.negative(block, out=block)
+        block -= log_gc
+        v = np.concatenate((v, block))
+        block[0] += cs[-1]
+        cs = np.concatenate((cs, np.cumsum(block, out=block)))
+        n_mass = int(np.searchsorted(v, np.inf))
+        if n_mass < L or L == M or budget(float(v[-1])) >= S:
+            break
+        L = min(M, 2 * L)
+
     def below_budget(shift: float) -> int:
         """Number of breakpoints v_f + shift at which T < S."""
         return bisect.bisect_left(range(n_mass), S, key=lambda f: budget(float(v[f]) + shift))
 
     b, a = below_budget(0.0), below_budget(g_c)
-    # b == a: the b files below the level are all full
-    nu = (g_c * (S - a) + (cs[b] - cs[a])) / (b - a) if b > a else np.inf
+    if b == a:  # T is flat at S, or every file with mass is full below S
+        return np.ones(S)
+    nu = (g_c * (S - a) + (cs[b] - cs[a])) / (b - a)
     del cs
-    pc = v  # the floors are not needed again: write Pc over them
-    np.subtract(nu, pc[:b], out=pc[:b])
-    pc[:b] /= g_c
-    np.clip(pc[:b], 0.0, 1.0, out=pc[:b])
-    pc[b:] = 0.0
-    # close the residual budget gap on the unsaturated coordinates; Pc does
-    # not increase with f, so each candidate set is a slice
+    pc = v[:b]  # the floors are not needed again: write Pc over them
+    np.subtract(nu, pc, out=pc)
+    pc /= g_c
+    np.clip(pc, 0.0, 1.0, out=pc)
+    # Pc does not increase with f, so the files strictly inside (0, 1) are a slice
     residual = S - float(pc.sum())
     if residual != 0.0:
-        n_full = int(np.count_nonzero(pc[:b] == 1.0))
-        n_pos = int(np.count_nonzero(pc[:b]))
-        if n_pos > n_full:
-            free = slice(n_full, n_pos)
-        else:
-            free = slice(n_full, None) if residual > 0 else slice(0, n_pos)
-        n_free = len(pc[free])
-        if n_free:
-            pc[free] += residual / n_free
-            np.clip(pc[free], 0.0, 1.0, out=pc[free])
+        free = pc[int(np.count_nonzero(pc == 1.0)):int(np.count_nonzero(pc))]
+        if len(free):
+            free += residual / len(free)
+            np.clip(free, 0.0, 1.0, out=free)
     return pc
 
 
@@ -124,21 +168,24 @@ def optimize_policy(model: PopularityModel, S: int, g_c: float) -> CachingPolicy
         raise ValueError(f"g_c must be positive and finite, got {g_c}")
     if S == model.M:
         return CachingPolicy(np.ones(model.M), S)
-    pc = _waterfill_probs(model.pmf_table, S, float(g_c))
-    return CachingPolicy(pc, S)
+    pc = _waterfill_probs(model.pmf_table, S, float(g_c), model.pmf_non_increasing)
+    return CachingPolicy(pc, S, model.M)
 
 
 def closed_form_outage(policy: CachingPolicy, model: PopularityModel, g_c: float) -> float:
     """Cluster outage sum_f P(f)*exp(-g_c*Pc(f)) for Poisson(g_c) occupancy,
-    summed by np.add.reduce so that no BLAS thread count enters the result."""
+    summed over the policy's prefix; the files past it have Pc = 0 and add
+    their mass with weight 1. Summed by np.add.reduce so that no BLAS thread
+    count enters the result."""
     if policy.M != model.M:
         raise ValueError(
             f"policy covers {policy.M} files but the model has {model.M}"
         )
+    pmf, b = model.pmf_table, len(policy.probs)
     terms = np.multiply(policy.probs, -g_c)
     np.exp(terms, out=terms)
-    terms *= model.pmf_table
-    return float(np.add.reduce(terms))
+    terms *= pmf[:b]
+    return float(np.add.reduce(terms) + np.add.reduce(pmf[b:]))
 
 
 def finite_n_outage(policy: CachingPolicy, model: PopularityModel, N: int, n_cells: int) -> float:
@@ -147,21 +194,24 @@ def finite_n_outage(policy: CachingPolicy, model: PopularityModel, N: int, n_cel
 
         sum_f P(f) * (1 - Pc(f)) * (1 - Pc(f)/n_cells)^(N-1)
 
-    with the power taken through log1p. closed_form_outage is its Poisson
-    counterpart."""
+    with the power taken through log1p, summed over the policy's prefix; the
+    files past it have Pc = 0 and add their mass with weight 1.
+    closed_form_outage is its Poisson counterpart."""
     if policy.M != model.M:
         raise ValueError(
             f"policy covers {policy.M} files but the model has {model.M}"
         )
-    pc = policy.probs
+    pmf, pc = model.pmf_table, policy.probs
+    b = len(pc)
     with np.errstate(divide="ignore"):  # Pc = 1 on a single cell: no miss
         others_miss = np.exp((N - 1) * np.log1p(-pc / n_cells)) if N > 1 else 1.0
-    return float(np.add.reduce(model.pmf_table * (1.0 - pc) * others_miss))
+    return float(np.add.reduce(pmf[:b] * (1.0 - pc) * others_miss) + np.add.reduce(pmf[b:]))
 
 
 def _interval_partition(probs: np.ndarray, S: int, offsets: np.ndarray) -> np.ndarray:
-    """Exact-S placement: lay the M probabilities end to end on a segment of
-    length S and pick the S files whose intervals contain u, u+1, ..., u+S-1.
+    """Exact-S placement: lay a policy's probabilities (its prefix: the files
+    past it have Pc = 0) end to end on a segment of length S and pick the S
+    files whose intervals contain u, u+1, ..., u+S-1.
 
     Each interval has length <= 1 and the points are spaced exactly 1 apart,
     so the S selected files are distinct and the marginal inclusion
@@ -219,7 +269,7 @@ def place_split_caches_batch(
         if not len(rows):
             return slot1, slot2
         block1 = slot1[rows]
-        stuck = block1[policy2.probs[block1 - 1] >= 1.0]
+        stuck = block1[policy2.pc_of(block1) >= 1.0]
         if len(stuck):
             raise RuntimeError(
                 "could not draw disjoint cache subspaces; file "

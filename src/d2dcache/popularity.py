@@ -30,9 +30,9 @@ class PopularityModel:
     def __post_init__(self):
         if not isinstance(self.M, (int, np.integer)) or self.M < 1:
             raise ValueError(f"library size M must be a positive integer, got {self.M!r}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        if self.q < 0:
+        if not self.q >= 0:
             raise ValueError(f"q must be non-negative, got {self.q}")
 
     @cached_property
@@ -46,11 +46,21 @@ class PopularityModel:
         return t
 
     @cached_property
+    def pmf_non_increasing(self) -> bool:
+        """Whether pmf_table never increases with f, checked over every file
+        once; the table is read-only."""
+        return _non_increasing(self.pmf_table)
+
+    @cached_property
     def _cdf(self) -> np.ndarray:
         c = np.cumsum(self.pmf_table)
         c[-1] = 1.0
         c.setflags(write=False)
         return c
+
+
+def _non_increasing(a: np.ndarray) -> bool:
+    return not bool(np.any(a[1:] > a[:-1]))
 
 
 def _sorted_search(table: np.ndarray, u: np.ndarray, S: int) -> np.ndarray:

@@ -141,7 +141,7 @@ def check_placement_marginals(policy, seed: int, n_draws: int) -> SuiteReport:
     and each file's count is within 4 binomial SDs of n_draws * Pc(f)."""
     caches = caching.place_caches_batch(policy, _rng(seed), n_draws)
     counts = np.bincount(caches.ravel(), minlength=policy.M + 1)[1:]
-    p = policy.probs
+    p = policy.pc_of(np.arange(1, policy.M + 1))
     sd = np.sqrt(np.maximum(p * (1 - p), 1e-12) * n_draws)
     z = np.abs(counts - n_draws * p) / np.maximum(sd, 1e-9)
     exact_s = caches.shape == (n_draws, policy.cache_size)
@@ -159,7 +159,7 @@ def cluster_outage_mc(model, policy, gc: float, n_draws: int, rng) -> tuple[floa
     is in outage iff no occupant holds it. Returns (outage, its SE)."""
     occupants = rng.poisson(gc, size=n_draws)
     files = sample_request(model, rng, size=n_draws)
-    holders = rng.binomial(occupants, policy.probs[files - 1])
+    holders = rng.binomial(occupants, policy.pc_of(files))
     p = float((holders == 0).mean())
     return p, math.sqrt(p * (1 - p) / n_draws)
 

@@ -75,7 +75,7 @@ def test_optimize_satisfies_kkt(M, gamma, q, gc, data):
     S = data.draw(st.integers(1, M))
     m = PopularityModel(M=M, gamma=gamma, q=q)
     pol = optimize_policy(m, S, gc)
-    pc = pol.probs
+    pc = pol.pc_of(np.arange(1, M + 1))
     assert abs(float(pc.sum()) - S) <= 1e-9
     # stationarity of g_c*P(f)*exp(-g_c*Pc(f)) checked in log space: the
     # gradient itself underflows to denormals for large g_c*Pc
@@ -116,8 +116,12 @@ def test_optimized_beats_uniform(M, gamma, q, gc, data):
 def test_optimize_matches_bisection_oracle(M, gamma, q, gc, data):
     S = data.draw(st.integers(1, M - 1))
     m = PopularityModel(M=M, gamma=gamma, q=q)
-    pc = optimize_policy(m, S, gc).probs
+    policy = optimize_policy(m, S, gc)
+    b = len(policy.probs)
     ref = bisection_waterfill(m.pmf_table, S, gc)
+    # the oracle gives nothing to the files past the solved prefix
+    assert float(np.max(ref[b:], initial=0.0)) <= 1e-12
+    pc = policy.pc_of(np.arange(1, M + 1))
     assert float(np.max(np.abs(pc - ref))) <= 1e-12
     assert abs(float(pc.sum()) - S) <= 1e-12 * S
     # exp(-g_c*Pc) is only as exact as g_c times an ulp of Pc, so two equal
@@ -131,18 +135,84 @@ def test_waterfill_rejects_increasing_mass():
         caching._waterfill_probs(np.array([0.2, 0.3, 0.5]), 1, 4.0)
 
 
-def test_optimize_memory_at_two_million_files():
-    # the floors and their prefix sum (the policy keeps the solve's array):
-    # at most 2.25 library-length float arrays live at once (the bisection held 4)
+@pytest.fixture(scope="module")
+def two_million_files() -> PopularityModel:
     m = PopularityModel(M=2_000_000, gamma=0.6, q=2.0)
-    m.pmf_table
+    m.pmf_table, m.pmf_non_increasing
+    return m
+
+
+@pytest.mark.parametrize("k", [7, 10])
+def test_optimize_memory_at_two_million_files(two_million_files, k):
+    # the solve reads floors on a prefix of at most twice the support b
+    # (26 065 files at k = 7, 3 273 at k = 10): its peak is at most 8 floats
+    # per file of the support, not the library-length arrays it once held
+    m = two_million_files
     tracemalloc.start()
     try:
-        optimize_policy(m, 2, 2.0**-7 * m.M / 2)
+        policy = optimize_policy(m, 2, 2.0**-k * m.M / 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 8 * m.M
+    assert len(policy.probs) < m.M // 50
+    assert peak <= 8 * 8 * len(policy.probs)
+
+
+@pytest.mark.parametrize("M, gamma, S, g_c", [
+    (3, 0.5, 1, 0.5),     # the rounded Pc sum to S exactly: nothing to spread
+    (3, 0.5, 1, 1.0),     # a rounding gap, spread over the files inside (0, 1)
+    (5, 2.0, 1, 1.0),     # T is flat at S: file 1 is full and file 2 still empty
+    (5, 2000.0, 2, 3.0),  # one file with mass, S = 2: files 1 and 2 are full
+])
+def test_waterfill_residual_step(M, gamma, S, g_c):
+    m = PopularityModel(M=M, gamma=gamma, q=0.0)
+    policy = optimize_policy(m, S, g_c)
+    pc = policy.pc_of(np.arange(1, M + 1))
+    assert abs(float(pc.sum()) - S) <= 1e-15 * S
+    ref = bisection_waterfill(m.pmf_table, S, g_c)
+    objective = [float(np.add.reduce(m.pmf_table * np.exp(-g_c * x))) for x in (pc, ref)]
+    assert objective[0] == pytest.approx(objective[1], rel=1e-15)
+    if gamma < 1000.0:
+        assert float(np.max(np.abs(pc - ref))) <= 1e-12
+    else:  # files without mass cost nothing: the oracle spreads S - 1 over them
+        assert np.count_nonzero(m.pmf_table) == 1 and policy.probs.tolist() == [1.0, 1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    M=st.integers(2, 3000),
+    gamma=st.floats(0.0, 3.0),
+    q=st.floats(0.0, 100.0),
+    gc=st.floats(1e-2, 1e5),
+    N=st.integers(1, 10_000),
+    cells=st.integers(1, 400),
+    data=st.data(),
+)
+def test_closed_forms_match_full_length_reference(M, gamma, q, gc, N, cells, data):
+    S = data.draw(st.integers(1, M - 1))
+    m = PopularityModel(M=M, gamma=gamma, q=q)
+    _check_closed_forms(m, S, gc, N, cells)
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_closed_forms_match_full_length_reference_at_two_million_files(two_million_files, k):
+    m = two_million_files
+    _check_closed_forms(m, 2, 2.0**-k * m.M / 2, 20_000, 400)
+
+
+def _check_closed_forms(m, S, gc, N, cells):
+    """Both closed forms against numpy over the library, the support prefix
+    padded with zeros."""
+    policy = optimize_policy(m, S, gc)
+    pc = np.zeros(m.M)
+    pc[:len(policy.probs)] = policy.probs
+    p = m.pmf_table
+    poisson = float(np.add.reduce(p * np.exp(-gc * pc)))
+    assert closed_form_outage(policy, m, gc) == pytest.approx(poisson, rel=1e-13)
+    with np.errstate(divide="ignore"):
+        others_miss = np.exp((N - 1) * np.log1p(-pc / cells)) if N > 1 else 1.0
+    finite = float(np.add.reduce(p * (1.0 - pc) * others_miss))
+    assert finite_n_outage(policy, m, N, cells) == pytest.approx(finite, rel=1e-13)
 
 
 def test_outage_monotone_in_occupancy():
@@ -175,6 +245,13 @@ def test_closed_form_dimension_mismatch():
     pol = CachingPolicy(np.full(4, 0.5), 2)
     with pytest.raises(ValueError):
         closed_form_outage(pol, m, 3.0)
+    # a prefix of a 5-file library is a policy of that library
+    prefix = CachingPolicy(np.full(4, 0.5), 2, 5)
+    assert prefix.M == 5 and prefix.pc_of(np.array([4, 5])).tolist() == [0.5, 0.0]
+    assert closed_form_outage(prefix, m, 3.0) == pytest.approx(
+        float(np.sum(m.pmf_table[:4])) * np.exp(-1.5) + m.pmf_table[4], rel=1e-15)
+    with pytest.raises(ValueError, match="cover 4 files but the library has 3"):
+        CachingPolicy(np.full(4, 0.5), 2, 3)
 
 
 def test_finite_n_outage_values():
@@ -209,6 +286,9 @@ def test_placement_marginals_match_probabilities():
     policy = optimize_policy(PopularityModel(M=20, gamma=0.9, q=2.0), 3, 15.0)
     report = check_placement_marginals(policy, 11, 100_000)
     assert report.passed, report.detail
+    # a policy stored on a prefix of its library: the files past it are never drawn
+    report = check_placement_marginals(CachingPolicy(np.array([1.0, 0.5, 0.5]), 2, 6), 11, 20_000)
+    assert report.passed and "over 6 files" in report.detail, report.detail
 
 
 def test_placement_against_poisson_cluster_outage():

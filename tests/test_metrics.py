@@ -69,6 +69,14 @@ def test_estimate_single_uniform_realization():
     assert est.n_realizations == 1
 
 
+def test_single_trial_has_zero_variances():
+    acc = ThroughputAccumulator()
+    acc.add(_synthetic_result([4.0, 1.0, 0.0], [True, True, False]), 2.0, math.nan)
+    assert acc.per_index_vars.tolist() == [0.0, 0.0, 0.0]
+    est = acc.finish()[0]
+    assert est.std_errors == {"T_min_avg": 0.0, "p_o_hat": 0.0, "mean_throughput": 0.0}
+
+
 def test_estimate_all_outage():
     res = _synthetic_result([0.0, 0.0], [False, False])
     est = estimate([res])

@@ -29,6 +29,9 @@ def test_model_validation():
     for M, gamma, q in ((0, 0.5, 0.0), (3, -0.1, 0.0), (3, 0.5, -1.0)):
         with pytest.raises(ValueError):
             PopularityModel(M=M, gamma=gamma, q=q)
+    for key, gamma, q in (("gamma", np.nan, 0.0), ("q", 0.5, np.nan)):
+        with pytest.raises(ValueError, match=f"^{key} must be non-negative, got nan"):
+            PopularityModel(M=5, gamma=gamma, q=q)
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,7 +22,7 @@ from d2dcache.phy import PhyConfig, path_gain
 from d2dcache.popularity import PopularityModel
 from d2dcache.regimes import REGIMES
 from d2dcache.runner import build_point_inputs, run_trials
-from d2dcache.schemes import _clustered_bits, run_scenario1, run_scenario2
+from d2dcache.schemes import SchemeResult, _clustered_bits, run_scenario1, run_scenario2
 from d2dcache.validate import _MINI, check_outage_closed_form, check_sinr_floor, cluster_ratios
 from link_oracle import (
     ActiveLink,
@@ -327,6 +327,25 @@ def _synthetic_slot(counts, k, seed, n_self=0):
     pairing = PairingOutcome(tx=tx, rx=np.arange(L), distance=distance)
     grid = ClusterGrid(k=k, cell_id=users)
     return realization, _clustered_bits(realization, pairing, grid, PHY, "cluster")
+
+
+def test_clustered_slot_without_links_is_empty():
+    # every user requests file 2 and caches file 1: no cell holds a link
+    positions = np.array([[0.1, 0.1], [0.3, 0.2], [0.8, 0.9]])
+    realization = NetworkRealization(
+        positions=positions, requests=np.full(3, 2), caches=(np.ones((3, 1), dtype=np.int64),)
+    )
+    grid = build_grid(2, positions)
+    pairing = pair_within_clusters(realization, grid, realization.caches[0])
+    assert pairing.n_links == 0
+    slot = _clustered_bits(realization, pairing, grid, PHY, "cluster")
+    assert (slot.label, slot.airtime, slot.cluster_side) == ("cluster", 0.0, 0.5)
+    assert slot.bandwidth == PHY.subchannel_bandwidth and math.isfinite(slot.bandwidth)
+    for column in (slot.link_rx, slot.link_distance, slot.link_rate, slot.link_sinr,
+                   slot.link_res, slot.link_interference):
+        assert column.shape == (0,)
+    result = SchemeResult(3, [slot])
+    assert result.per_user_bits.tolist() == [0.0, 0.0, 0.0] and result.outage_fraction == 1.0
 
 
 def _group_sizes(slot):
