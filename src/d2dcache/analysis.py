@@ -61,6 +61,10 @@ def solve_c1_c2(gc_prime: float, q: float, S: int, gamma: float) -> FixedPointCo
     large-C2 asymptote 1 + sqrt(2*C2). g is increasing and convex, and
     g(1 + sqrt(2*C2)) > 0 for every C2 > 0 because ln(1 + y) <= y/sqrt(1 + y).
     So the iterates descend monotonically onto the unique root.
+
+    The loop ends at the tolerance test alone. g' = C1/(C1+C2) <= 1, so a
+    step |g/g'| below half an ulp of C1 needs |g| <= 2^-53 * C1, which the
+    test, 0.5e-12 * max(1, C1), has already accepted.
     """
     if not gc_prime > 0:
         raise ValueError(f"gc_prime must be positive, got {gc_prime}")
@@ -75,10 +79,7 @@ def solve_c1_c2(gc_prime: float, q: float, S: int, gamma: float) -> FixedPointCo
         g = _fixed_point_residual(c1, c2)
         if abs(g) <= 0.5 * RESIDUAL_TOL * max(1.0, c1):
             break
-        c1_new = c1 - g / (1.0 - c2 / (c2 + c1))
-        if c1_new == c1:
-            break
-        c1 = c1_new
+        c1 -= g / (1.0 - c2 / (c2 + c1))
     else:
         raise RuntimeError(f"fixed point did not converge for C2={c2}")
     return FixedPointConstants(

@@ -83,8 +83,8 @@ def cmd_analyze(args) -> int:
         entry.update(
             cluster_side=inputs.sides[0],
             occupancy=inputs.occupancy,
-            sinr_floor=sinr_floor(realized, point.phy, point.phy.Pmax, point.phy.Pmax),
-            interference_bound=interference_upper_bound(realized, point.phy, point.phy.Pmax),
+            sinr_floor=sinr_floor(realized, point.phy),
+            interference_bound=interference_upper_bound(realized, point.phy),
         )
         if point.scheme == "scenario2":
             entry["epsilon"] = inputs.epsilon

@@ -126,12 +126,7 @@ def bound_constant(alpha: float) -> float:
     return alpha * (3.0 * math.sqrt(2.0) + 1.0) + 2.0 * (2.0 * (math.sqrt(2.0) + 1.0)) ** alpha
 
 
-def check_transport_bound(
-    result: SchemeResult,
-    phy: PhyConfig,
-    R0: float,
-    eps0: float,
-) -> float:
+def check_transport_bound(result: SchemeResult, phy: PhyConfig, R0: float) -> float:
     """Slack RHS - LHS of the transport-capacity upper bound on one realized
     schedule; the bound holds when it is >= 0.
 
@@ -140,11 +135,12 @@ def check_transport_bound(
     transport_capacity. RHS adds, per time-frequency resource, the
     representative's noise-only transport and the actual transport of short
     (< R0) non-representative links, plus the closed-form term
-    B*log2(e)/eps0 * sqrt(SN/(rho' M)) * C(alpha) with sqrt(SN/(rho' M))
-    expressed through R0 = eps0*sqrt(rho' M/(S N)).
+    B*log2(e)/eps0 * sqrt(SN/(rho' M)) * C(alpha). R0 = eps0*sqrt(rho' M/(S N))
+    makes sqrt(SN/(rho' M)) = eps0/R0, so eps0 cancels and the term is
+    B*log2(e)*C(alpha)/R0: R0 is all the bound needs.
     """
-    if R0 <= 0 or eps0 <= 0:
-        raise ValueError("R0 and eps0 must be positive")
+    if not R0 > 0:
+        raise ValueError(f"R0 must be positive, got {R0}")
     cw_parts, short = [], []
     # resource keys restart in every slot, so representatives are found per slot
     for s in result.slots:
@@ -158,8 +154,7 @@ def check_transport_bound(
     cw_term = float(np.add.reduce(_concat(cw_parts)))
     cr0_term = float(np.add.reduce(transport[_concat(short, bool)]))
 
-    # sqrt(SN/(rho'M)) = eps0 / R0
-    third = phy.B * math.log2(math.e) / eps0 * (eps0 / R0) * bound_constant(phy.alpha)
+    third = phy.B * math.log2(math.e) / R0 * bound_constant(phy.alpha)
 
     # LHS is transport_capacity's sum of the same array
     return cw_term + cr0_term + third - float(np.add.reduce(transport))

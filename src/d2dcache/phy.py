@@ -139,29 +139,26 @@ def interference_series_constant(alpha: float) -> float:
     ])
 
 
-def interference_upper_bound(d: float, cfg: PhyConfig, nu_upp: float) -> float:
+def interference_upper_bound(d: float, cfg: PhyConfig) -> float:
     """Worst-case co-channel interference power at any in-cluster receiver.
 
-    Counts ring i of the reuse pattern as 8i transmitters at distance
-    (2i-1)(K+1)d with uncapped gains: 8 * nu_upp * chi * I_c / (d(K+1))^alpha.
+    Counts ring i of the reuse pattern as 8i transmitters at Pmax at distance
+    (2i-1)(K+1)d with uncapped gains: 8 * Pmax * chi * I_c / (d(K+1))^alpha.
     """
-    if d <= 0:
+    if not d > 0:
         raise ValueError(f"cluster side must be positive, got {d}")
     ic = interference_series_constant(cfg.alpha)
-    return 8.0 * nu_upp * cfg.chi * ic / (d * (cfg.K + 1)) ** cfg.alpha
+    return 8.0 * cfg.Pmax * cfg.chi * ic / (d * (cfg.K + 1)) ** cfg.alpha
 
 
-def sinr_floor(d: float, cfg: PhyConfig, nu_low: float, nu_upp: float) -> float:
+def sinr_floor(d: float, cfg: PhyConfig) -> float:
     """Guaranteed SINR of any activated in-cluster pair under one-TX-per-cluster
-    reuse scheduling with powers in [nu_low, nu_upp].
+    reuse scheduling with every link at Pmax.
 
     Worst-case signal at the cluster diagonal sqrt(2)*d over noise plus the
     ring interference bound. Monotonically increasing in K.
     """
-    if not (0.0 < nu_low <= nu_upp <= cfg.Pmax):
-        raise ValueError(
-            f"need 0 < nu_low <= nu_upp <= Pmax, got nu_low={nu_low} nu_upp={nu_upp}"
-        )
-    signal = nu_low * cfg.chi / (math.sqrt(2.0) * d) ** cfg.alpha
+    interference = interference_upper_bound(d, cfg)  # first: it checks d
+    signal = cfg.Pmax * cfg.chi / (math.sqrt(2.0) * d) ** cfg.alpha
     noise = cfg.subchannel_bandwidth * cfg.N0
-    return signal / (noise + interference_upper_bound(d, cfg, nu_upp))
+    return signal / (noise + interference)

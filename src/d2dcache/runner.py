@@ -108,8 +108,7 @@ def run_trial(cfg: ExperimentConfig, inputs: PointInputs, trial: int):
     c_gamma = metrics.transport_capacity(result)
     slack = math.nan
     if cfg.check_bounds:
-        r0 = cfg.eps0 * inputs.sides[0]
-        slack = metrics.check_transport_bound(result, cfg.phy, r0, cfg.eps0)
+        slack = metrics.check_transport_bound(result, cfg.phy, cfg.eps0 * inputs.sides[0])
     return result, c_gamma, slack
 
 

@@ -48,8 +48,8 @@ def cluster_ratios(result, phy: PhyConfig, label: str = "cluster") -> tuple[floa
     "cluster1" or "cluster2" of scenario 2. Both are inf / 0 when no link was
     active."""
     slot = result.slot(label)
-    floor = sinr_floor(slot.cluster_side, phy, phy.Pmax, phy.Pmax)
-    bound = interference_upper_bound(slot.cluster_side, phy, phy.Pmax)
+    floor = sinr_floor(slot.cluster_side, phy)
+    bound = interference_upper_bound(slot.cluster_side, phy)
     return (float(slot.link_sinr.min(initial=math.inf)) / floor,
             float(slot.link_interference.max(initial=0.0)) / bound)
 
@@ -73,7 +73,7 @@ def check_sinr_floor(trial_ratios, seed: int) -> SuiteReport:
     violations = int(np.sum(ratios < 1.0))
     i_violations = int(np.sum(i_ratios > 1.0))
     phys = [PhyConfig(K=k) for k in (1, 2)]
-    k1, k2 = (sinr_floor(0.2, phy, phy.Pmax, phy.Pmax) for phy in phys)
+    k1, k2 = (sinr_floor(0.2, phy) for phy in phys)
     within = f"above its bound in {i_violations}" if i_violations else "within its bound in all"
     return SuiteReport(
         "cluster_sinr_floor", violations == 0 and i_violations == 0 and k2 > k1,

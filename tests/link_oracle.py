@@ -5,38 +5,10 @@ co-channel path in d2dcache.schemes is checked against both."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from d2dcache.phy import PhyConfig, path_gain
-
-
-@dataclass(frozen=True)
-class ActiveLink:
-    tx: int
-    rx: int
-    power: float
-    subchannel: int
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    """Links sharing the air at one scheduling step, plus user positions.
-
-    The scheduler guarantees at most one active TX per (cell, subchannel);
-    this container only checks the power range.
-    """
-
-    links: tuple[ActiveLink, ...]
-    positions: np.ndarray
-    Pmax: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "links", tuple(self.links))
-        for l in self.links:
-            if not (0.0 < l.power <= self.Pmax):
-                raise ValueError(f"link power {l.power} outside (0, Pmax={self.Pmax}]")
 
 
 def _distance(tx_pos: np.ndarray, rx_pos: np.ndarray) -> float:
@@ -47,28 +19,24 @@ def _distance(tx_pos: np.ndarray, rx_pos: np.ndarray) -> float:
 
 
 def link_rate(
-    link: ActiveLink,
-    active_set: ActiveSet,
+    link: tuple[int, int],
+    co_channel: list[tuple[int, int]],
+    positions: np.ndarray,
     cfg: PhyConfig,
-    subchannel_bandwidth: float,
+    bandwidth: float,
 ) -> float:
-    """Rate (bits/s) of one link given its co-channel companions."""
-    pos = active_set.positions
-    d_sig = _distance(pos[link.tx], pos[link.rx])
-    if link.power == 0.0:
-        return 0.0
-    signal = link.power * path_gain(d_sig, cfg)
+    """Rate (bits/s) of the (tx, rx) link among the (tx, rx) pairs sharing its
+    channel, itself included; every transmitter sends at Pmax."""
+    tx, rx = link
+    signal = cfg.Pmax * path_gain(_distance(positions[tx], positions[rx]), cfg)
     interference = 0.0
-    for other in active_set.links:
-        if other is link or (other.tx == link.tx and other.rx == link.rx):
-            continue
-        if other.subchannel != link.subchannel:
-            continue
-        d_int = _distance(pos[other.tx], pos[link.rx])
-        interference += other.power * path_gain(d_int, cfg)
-    noise = subchannel_bandwidth * cfg.N0
+    for other in co_channel:
+        if other != link:
+            d_int = _distance(positions[other[0]], positions[rx])
+            interference += cfg.Pmax * path_gain(d_int, cfg)
+    noise = bandwidth * cfg.N0
     sinr = float(cfg.effective_sinr(signal / (noise + interference)))
-    return subchannel_bandwidth * math.log2(1.0 + sinr)
+    return bandwidth * math.log2(1.0 + sinr)
 
 
 def ordered_pairs_within_groups(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -477,8 +477,8 @@ def test_cli_analyze_floor_at_realized_side(tmp_path):
     side = point["cluster_sides"][0]
     assert side != entry["cluster_side"]
     phy = load_config(path).phy
-    assert entry["sinr_floor"] == sinr_floor(side, phy, phy.Pmax, phy.Pmax)
-    assert entry["interference_bound"] == interference_upper_bound(side, phy, phy.Pmax)
+    assert entry["sinr_floor"] == sinr_floor(side, phy)
+    assert entry["interference_bound"] == interference_upper_bound(side, phy)
 
 
 def _strict_json(text):

@@ -50,8 +50,8 @@ def _synthetic_result(bits, served, airtime=1.0):
     return SchemeResult(n_users=len(served), slots=[slot])
 
 
-def _third(R0, eps0=0.1):
-    return PHY.B * math.log2(math.e) / eps0 * (eps0 / R0) * bound_constant(PHY.alpha)
+def _third(R0):
+    return PHY.B * math.log2(math.e) / R0 * bound_constant(PHY.alpha)
 
 
 def estimate(results):
@@ -140,7 +140,7 @@ def test_transport_capacity_values():
 
 
 def test_bound_trivial_empty_schedule():
-    slack = check_transport_bound(_synthetic_result([], []), PHY, R0=0.02, eps0=0.1)
+    slack = check_transport_bound(_synthetic_result([], []), PHY, R0=0.02)
     assert slack == pytest.approx(_third(0.02))
 
 
@@ -151,7 +151,7 @@ def test_bound_single_full_band_link():
     snr = PHY.Pmax * path_gain(r, PHY) / (PHY.N0 * PHY.B)
     res = SchemeResult(1, [_slot([r], [PHY.B * math.log2(1.0 + snr)])])
     assert transport_capacity(res) > 0.01
-    slack = check_transport_bound(res, PHY, R0=1e4, eps0=0.1)
+    slack = check_transport_bound(res, PHY, R0=1e4)
     assert slack == pytest.approx(_third(1e4), rel=1e-12)
 
 
@@ -169,7 +169,7 @@ def test_bound_short_link_term():
     cr0 = 0.01 * 2.0 * airtime
     expected = cw + cr0 - transport_capacity(res)
     assert abs(expected) > 1e-3
-    slack = check_transport_bound(res, PHY, R0, eps0=0.1)
+    slack = check_transport_bound(res, PHY, R0)
     assert slack - _third(R0) == pytest.approx(expected, abs=1e-9)
 
 
@@ -185,8 +185,9 @@ def test_bound_holds_on_simulated_schedules(scheme):
 
 
 def test_bound_argument_validation():
-    with pytest.raises(ValueError):
-        check_transport_bound(_synthetic_result([], []), PHY, R0=0.0, eps0=0.1)
+    for R0 in (0.0, -0.02, math.nan):
+        with pytest.raises(ValueError, match=f"R0 must be positive, got {R0}"):
+            check_transport_bound(_synthetic_result([], []), PHY, R0)
 
 
 def test_reductions_do_not_depend_on_blas_threads():

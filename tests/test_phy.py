@@ -13,7 +13,7 @@ from d2dcache.phy import (
     sinr_floor,
 )
 from d2dcache.validate import check_log_inequality
-from link_oracle import ActiveLink, ActiveSet, link_rate
+from link_oracle import link_rate
 
 ZETA3 = 1.2020569031595943  # independent value of sum i^-3
 # sum i^(1-alpha) by direct partial sums (up to 1e8 terms) with an
@@ -56,45 +56,28 @@ def test_link_rate_no_interferers_unit_snr():
     c = cfg(chi=1e-6, N0=1.0, B=1.0)
     pos = np.array([[0.0, 0.0], [0.0, 1.0]])  # distance 1 -> gain chi = 1e-6
     bu = 1e-6  # B_u*N0 = 1e-6 = signal
-    aset = ActiveSet(links=(ActiveLink(0, 1, 1.0, 0),), positions=pos, Pmax=1.0)
-    rate = link_rate(aset.links[0], aset, c, bu)
+    rate = link_rate((0, 1), [(0, 1)], pos, c, bu)
     assert rate == pytest.approx(bu, rel=1e-12)  # log2(2) = 1
-
-
-def test_link_rate_zero_power():
-    c = cfg()
-    pos = np.array([[0.0, 0.0], [0.0, 0.5]])
-    link = ActiveLink(0, 1, 0.0, 0)
-    aset = ActiveSet(links=(), positions=pos, Pmax=1.0)
-    assert link_rate(link, aset, c, c.subchannel_bandwidth) == 0.0
 
 
 def test_link_rate_mirror_symmetry():
     c = cfg(chi=1e-4)
     pos = np.array([[0.1, 0.5], [0.2, 0.5], [0.9, 0.5], [0.8, 0.5]])
-    l1 = ActiveLink(0, 1, 1.0, 0)
-    l2 = ActiveLink(2, 3, 1.0, 0)
-    aset = ActiveSet(links=(l1, l2), positions=pos, Pmax=1.0)
+    pairs = [(0, 1), (2, 3)]
     bu = c.subchannel_bandwidth
-    assert link_rate(l1, aset, c, bu) == pytest.approx(link_rate(l2, aset, c, bu), rel=1e-12)
+    rates = [link_rate(pair, pairs, pos, c, bu) for pair in pairs]
+    assert rates[0] == pytest.approx(rates[1], rel=1e-12)
 
 
 def test_link_rate_monotone_in_interferer_power():
-    c = cfg(chi=1e-4, Pmax=2.0)
-    pos = np.array([[0.1, 0.5], [0.2, 0.5], [0.9, 0.5], [0.8, 0.5]])
+    # an interferer at Pmax delivers more power as it nears the receiver
+    c = cfg(chi=1e-4)
     bu = c.subchannel_bandwidth
     rates = []
-    for p_int in (0.5, 1.0, 2.0):
-        l1 = ActiveLink(0, 1, 1.0, 0)
-        aset = ActiveSet(links=(l1, ActiveLink(2, 3, p_int, 0)), positions=pos, Pmax=2.0)
-        rates.append(link_rate(l1, aset, c, bu))
+    for x_int in (0.9, 0.6, 0.4):
+        pos = np.array([[0.1, 0.5], [0.2, 0.5], [x_int, 0.5], [x_int + 0.05, 0.5]])
+        rates.append(link_rate((0, 1), [(0, 1), (2, 3)], pos, c, bu))
     assert rates[0] > rates[1] > rates[2]
-
-
-def test_active_set_power_validation():
-    pos = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        ActiveSet(links=(ActiveLink(0, 1, 2.0, 0),), positions=pos, Pmax=1.0)
 
 
 def test_interference_series_alpha4():
@@ -114,37 +97,46 @@ def test_interference_series_near_two():
 
 def test_interference_upper_bound_value():
     c = cfg()
-    val = interference_upper_bound(0.1, c, 1.0)
+    val = interference_upper_bound(0.1, c)
     assert val == pytest.approx(5000.0 * ZETA3, rel=1e-9)
-    with pytest.raises(ValueError, match="cluster side"):
-        interference_upper_bound(0.0, c, 1.0)
+    for bound in (interference_upper_bound, sinr_floor):
+        for d in (0.0, math.nan):
+            with pytest.raises(ValueError, match=f"cluster side must be positive, got {d}"):
+                bound(d, c)
 
 
 def test_interference_bound_decreasing_in_K():
     vals = [
-        interference_upper_bound(0.1, cfg(K=K), 1.0)
+        interference_upper_bound(0.1, cfg(K=K))
         for K in (1, 2, 3, 5)
     ]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_sinr_floor_monotone_in_K():
-    vals = [sinr_floor(0.2, cfg(chi=1e-11, K=K), 1.0, 1.0) for K in (1, 2, 3)]
+    vals = [sinr_floor(0.2, cfg(chi=1e-11, K=K)) for K in (1, 2, 3)]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_sinr_floor_noise_free_limit():
-    # N0 -> 0: floor -> (nu_low/(8 nu_upp I_c)) * ((K+1)/sqrt(2))^alpha, d-free
+    # N0 -> 0: floor -> (1/(8 I_c)) * ((K+1)/sqrt(2))^alpha, d-free
     c = cfg(N0=1e-30)
     expect = (1.0 / (8.0 * ZETA3)) * ((2.0) / math.sqrt(2.0)) ** 4
     for d in (0.05, 0.2, 0.7):
-        assert sinr_floor(d, c, 1.0, 1.0) == pytest.approx(expect, rel=1e-6)
+        assert sinr_floor(d, c) == pytest.approx(expect, rel=1e-6)
 
 
-def test_sinr_floor_argument_validation():
-    for nu_low, nu_upp in ((0.0, 1.0), (0.5, 2.0)):  # nu_low = 0; nu_upp > Pmax
-        with pytest.raises(ValueError):
-            sinr_floor(0.1, cfg(), nu_low, nu_upp)
+def test_bounds_read_pmax():
+    # every link at Pmax: scaling Pmax and N0 together leaves the floor and
+    # scales the ring bound
+    base = cfg(chi=1e-11, N0=1e-6, Pmax=1.0)
+    for factor in (0.25, 3.0, 1e3):
+        scaled = cfg(chi=1e-11, N0=1e-6 * factor, Pmax=factor)
+        for d in (0.05, 0.2):
+            assert sinr_floor(d, scaled) == pytest.approx(sinr_floor(d, base), rel=1e-12)
+            assert interference_upper_bound(d, scaled) == pytest.approx(
+                factor * interference_upper_bound(d, base), rel=1e-12
+            )
 
 
 def test_sinr_capped_by_gain_cap():
@@ -152,8 +144,7 @@ def test_sinr_capped_by_gain_cap():
     c = cfg(chi=1.0, gain_cap=1.0)
     bu = c.subchannel_bandwidth
     pos = np.array([[0.0, 0.0], [0.0, 1e-12]])
-    aset = ActiveSet(links=(ActiveLink(0, 1, 1.0, 0),), positions=pos, Pmax=1.0)
-    rate = link_rate(aset.links[0], aset, c, bu)
+    rate = link_rate((0, 1), [(0, 1)], pos, c, bu)
     assert rate <= bu * math.log2(1.0 + c.Pmax * c.gain_cap / (bu * c.N0)) + 1e-9
 
 
@@ -162,9 +153,8 @@ def test_bounded_model_ceiling():
     c_off = cfg(chi=1e-6, N0=1.0, B=1.0)
     c_on = cfg(chi=1e-6, N0=1.0, B=1.0, sinr_ceiling=0.5)
     pos = np.array([[0.0, 0.0], [0.0, 1.0]])
-    aset = ActiveSet(links=(ActiveLink(0, 1, 1.0, 0),), positions=pos, Pmax=1.0)
-    full = link_rate(aset.links[0], aset, c_off, 1e-6)
-    clamped = link_rate(aset.links[0], aset, c_on, 1e-6)
+    full = link_rate((0, 1), [(0, 1)], pos, c_off, 1e-6)
+    clamped = link_rate((0, 1), [(0, 1)], pos, c_on, 1e-6)
     assert clamped == pytest.approx(1e-6 * math.log2(1.5), rel=1e-12)
     assert clamped < full
     with pytest.raises(ValueError):

@@ -24,13 +24,7 @@ from d2dcache.regimes import REGIMES
 from d2dcache.runner import build_point_inputs, run_trials
 from d2dcache.schemes import SchemeResult, _clustered_bits, run_scenario1, run_scenario2
 from d2dcache.validate import _MINI, check_outage_closed_form, check_sinr_floor, cluster_ratios
-from link_oracle import (
-    ActiveLink,
-    ActiveSet,
-    all_pairs_interference,
-    link_rate,
-    ordered_pairs_within_groups,
-)
+from link_oracle import all_pairs_interference, link_rate, ordered_pairs_within_groups
 
 PHY = PhyConfig()
 
@@ -281,8 +275,8 @@ def test_scenario2_sinr_floor_both_slots():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_clustered_rates_match_scalar_oracle(N, M, S, k, K, chi, ceiling, seed):
-    # every (round, color) resource of a clustered slot, rebuilt as one oracle
-    # ActiveSet: each link's rate is the scalar SINR rate among its companions
+    # every (round, color) resource of a clustered slot, rebuilt as its list of
+    # (tx, rx) pairs: each link's rate is the scalar SINR rate among its companions
     phy = PhyConfig(K=K, chi=chi, sinr_ceiling=ceiling)
     m = PopularityModel(M=M, gamma=0.6, q=1.0)
     S = min(S, M)
@@ -294,10 +288,9 @@ def test_clustered_rates_match_scalar_oracle(N, M, S, k, K, chi, ceiling, seed):
     assert len(tx_of) == len(slot.link_rx)
     for key in np.unique(slot.link_res):
         rows = np.flatnonzero(slot.link_res == key)
-        links = [ActiveLink(tx_of[int(rx)], int(rx), phy.Pmax, int(key)) for rx in slot.link_rx[rows]]
-        aset = ActiveSet(links, realization.positions, phy.Pmax)
-        for link, row in zip(aset.links, rows):
-            expect = link_rate(link, aset, phy, slot.bandwidth)
+        pairs = [(tx_of[rx], rx) for rx in slot.link_rx[rows].tolist()]
+        for pair, row in zip(pairs, rows):
+            expect = link_rate(pair, pairs, realization.positions, phy, slot.bandwidth)
             assert slot.link_rate[row] == pytest.approx(expect, rel=1e-9)
 
 
