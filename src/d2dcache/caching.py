@@ -175,17 +175,18 @@ def optimize_policy(model: PopularityModel, S: int, g_c: float) -> CachingPolicy
 def closed_form_outage(policy: CachingPolicy, model: PopularityModel, g_c: float) -> float:
     """Cluster outage sum_f P(f)*exp(-g_c*Pc(f)) for Poisson(g_c) occupancy,
     summed over the policy's prefix; the files past it have Pc = 0 and add
-    their mass with weight 1. Summed by np.add.reduce so that no BLAS thread
-    count enters the result."""
+    their mass, model.tail_mass, with weight 1, so no pmf entry past the
+    prefix is read. Summed by np.add.reduce so that no BLAS thread count
+    enters the result."""
     if policy.M != model.M:
         raise ValueError(
             f"policy covers {policy.M} files but the model has {model.M}"
         )
-    pmf, b = model.pmf_table, len(policy.probs)
+    b = len(policy.probs)
     terms = np.multiply(policy.probs, -g_c)
     np.exp(terms, out=terms)
-    terms *= pmf[:b]
-    return float(np.add.reduce(terms) + np.add.reduce(pmf[b:]))
+    terms *= model.pmf_table[:b]
+    return float(np.add.reduce(terms) + model.tail_mass(b))
 
 
 def finite_n_outage(policy: CachingPolicy, model: PopularityModel, N: int, n_cells: int) -> float:
@@ -195,17 +196,18 @@ def finite_n_outage(policy: CachingPolicy, model: PopularityModel, N: int, n_cel
         sum_f P(f) * (1 - Pc(f)) * (1 - Pc(f)/n_cells)^(N-1)
 
     with the power taken through log1p, summed over the policy's prefix; the
-    files past it have Pc = 0 and add their mass with weight 1.
-    closed_form_outage is its Poisson counterpart."""
+    files past it have Pc = 0 and add their mass, model.tail_mass, with
+    weight 1. closed_form_outage is its Poisson counterpart."""
     if policy.M != model.M:
         raise ValueError(
             f"policy covers {policy.M} files but the model has {model.M}"
         )
-    pmf, pc = model.pmf_table, policy.probs
+    pc = policy.probs
     b = len(pc)
     with np.errstate(divide="ignore"):  # Pc = 1 on a single cell: no miss
         others_miss = np.exp((N - 1) * np.log1p(-pc / n_cells)) if N > 1 else 1.0
-    return float(np.add.reduce(pmf[:b] * (1.0 - pc) * others_miss) + np.add.reduce(pmf[b:]))
+    prefix = model.pmf_table[:b] * (1.0 - pc) * others_miss
+    return float(np.add.reduce(prefix) + model.tail_mass(b))
 
 
 def _interval_partition(probs: np.ndarray, S: int, offsets: np.ndarray) -> np.ndarray:

@@ -157,14 +157,21 @@ def pair_within_clusters(
     held += cell_id[:, None]
     held *= n
     held += users[:, None]
-    skey, sowner = np.divmod(np.sort(held, axis=None), n)
-    run_start = np.flatnonzero(np.diff(skey, prepend=-1))
+    # the keys are non-negative, so // and a product give divmod's quotient
+    # and remainder; int64 // by a scalar is about ten times faster than divmod
+    sowner = np.sort(held, axis=None)
+    skey = sowner // n
+    sowner -= skey * n
+    new_run = np.empty(len(skey), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(skey[1:], skey[:-1], out=new_run[1:])
+    run_start = np.flatnonzero(new_run)
     run_key = skey[run_start]
     run_len = np.diff(np.append(run_start, len(skey)))
 
-    qkey, quser = np.divmod(
-        np.sort((requests.astype(np.int64) * n_cells + cell_id) * n + users), n
-    )
+    quser = np.sort((requests.astype(np.int64) * n_cells + cell_id) * n + users)
+    qkey = quser // n
+    quser -= qkey * n
     run = np.minimum(np.searchsorted(run_key, qkey), len(run_key) - 1)
     hit = np.flatnonzero(run_key[run] == qkey)
     if len(hit) == 0:

@@ -221,6 +221,18 @@ def _check_closed_forms(m, S, gc, N, cells):
     assert finite_n_outage(policy, m, N, cells) == pytest.approx(finite, rel=1e-13)
 
 
+def test_closed_forms_never_read_the_pmf_past_the_support():
+    m = PopularityModel(M=5000, gamma=0.6, q=2.0)
+    policy = optimize_policy(m, 2, 40.0)
+    b = len(policy.probs)
+    assert b < m.M
+    clean = closed_form_outage(policy, m, 40.0), finite_n_outage(policy, m, 2000, 100)
+    poisoned = m.pmf_table.copy()
+    poisoned[b:] = np.nan
+    m.__dict__["pmf_table"] = poisoned
+    assert (closed_form_outage(policy, m, 40.0), finite_n_outage(policy, m, 2000, 100)) == clean
+
+
 def test_outage_monotone_in_occupancy():
     m = PopularityModel(M=60, gamma=0.7, q=4.0)
     values = [

@@ -202,7 +202,8 @@ def test_reductions_do_not_depend_on_blas_threads():
         "d, r, z, ids = a[:200_000], b[:200_000], np.zeros(200_000), np.arange(200_000)\n"
         "slot = SlotResult('tdma', ids, d, r, z, ids, z, 1.0, 1.0, None)\n"
         "print(repr(transport_capacity(SchemeResult(200_000, [slot]))))\n"
-        "print(repr(closed_form_outage(NS(M=a.size, probs=a), NS(M=a.size, pmf_table=b), 3.0)))\n"
+        "model = NS(M=a.size, pmf_table=b, tail_mass=lambda _: 0.0)  # probs cover every file\n"
+        "print(repr(closed_form_outage(NS(M=a.size, probs=a), model, 3.0)))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])

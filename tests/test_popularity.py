@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -59,6 +61,79 @@ def test_pmf_table_non_increasing(M, gamma, q):
     # the water-filling solve takes this order exactly, without a tolerance
     t = PopularityModel(M=M, gamma=gamma, q=q).pmf_table
     assert np.all(t[1:] <= t[:-1])
+
+
+def _term_sum(m: PopularityModel, lo: int) -> float:
+    """H(lo, M) by fsum over its terms: the table's weights for the 1024-term
+    head, and (f+q)^-gamma by np.power past it, each within an ulp and
+    unbiased. exp(-gamma*log(f+q)) is not: where gamma is a few ulps off an
+    integer, gamma*log(f+q) rounds one way more often than the other, and
+    the fsum of those weights strays up to 10 ulp from the exact sum."""
+    x = np.arange(lo, m.M + 1, dtype=np.float64) + m.q
+    head = np.exp(-m.gamma * np.log(x[:1024]))
+    return math.fsum([*head.tolist(), *np.power(x[1024:], -m.gamma).tolist()])
+
+
+def _check_norm_and_tail(m: PopularityModel, b: int):
+    """norm within 2 ulp and tail_mass(b) within 1e-15 of the sums of their
+    terms, and each power sum's error bound under 2^-53 of the sum."""
+    norm = _term_sum(m, 1)
+    assert abs(m.norm - norm) <= 2 * math.ulp(norm)
+    tail = _term_sum(m, b + 1) / norm
+    assert abs(m.tail_mass(b) - tail) <= 1e-15 * tail
+    for lo in (1, b + 1):
+        total, bound = m._power_sum(lo, m.M)
+        assert bound <= 2.0**-53 * total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.integers(1, 200_000),
+    gamma=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 1e-9, 1.0 + 1e-9]), st.floats(0.0, 3.0)),
+    q=st.floats(0.0, 1e4),
+    data=st.data(),
+)
+def test_norm_and_tail_match_exact_sums(M, gamma, q, data):
+    _check_norm_and_tail(PopularityModel(M=M, gamma=gamma, q=q), data.draw(st.integers(0, M)))
+
+
+# the libraries of scripts/configs and of the bench workloads
+SHIPPED_MODELS = [
+    *((M, 0.6, 10.0) for M in (256, 512, 1024, 2048, 4096)),
+    *((int(50 * q), 1.5, q) for q in (64.0, 128.0, 256.0, 512.0, 1024.0)),
+    (400, 0.6, 20.0),
+    (2_000_000, 0.6, 2.0),
+]
+
+
+@pytest.mark.parametrize("M, gamma, q", SHIPPED_MODELS)
+def test_norm_and_tail_match_the_table_on_shipped_models(M, gamma, q):
+    """The one normaliser against the table it divides: within 2 ulp of the
+    fsum over every weight, and each tail within 1e-15 of numpy's sum of the
+    table past b."""
+    m = PopularityModel(M=M, gamma=gamma, q=q)
+    f = np.arange(1, M + 1, dtype=np.float64)
+    exact = math.fsum(np.exp(-gamma * np.log(f + q)).tolist())
+    assert abs(m.norm - exact) <= 2 * math.ulp(exact)
+    for b in (0, M // 10, M // 2, max(0, M - 1500), M):
+        tail = float(np.add.reduce(m.pmf_table[b:]))
+        assert abs(m.tail_mass(b) - tail) <= 1e-15 * tail
+    _check_norm_and_tail(m, M // 10)
+
+
+def test_norm_and_tail_edge_cases_are_exact():
+    one = PopularityModel(M=1, gamma=1.3, q=2.5)
+    assert (one.tail_mass(0), one.tail_mass(1)) == (1.0, 0.0)
+    head = PopularityModel(M=1024, gamma=0.8, q=2.0)  # no Euler-Maclaurin part
+    assert head.norm == math.fsum(head._weights(1, 1024).tolist())
+    assert PopularityModel(M=3000, gamma=0.8, q=2.0).tail_mass(3000) == 0.0
+    _check_norm_and_tail(PopularityModel(M=1025, gamma=0.7, q=0.0), 1024)  # one file past the head
+    for M in (7, 1025, 5000, 200_000):
+        for q in (0.0, 3.7, 9999.123456789):  # 3.7 and 9999.12... round by several shifts
+            flat = PopularityModel(M=M, gamma=0.0, q=q)
+            assert flat.norm == M
+            tails = [flat.tail_mass(b) for b in (0, 1, M // 3, M)]
+            assert tails == [1.0, (M - 1) / M, (M - M // 3) / M, 0.0]
 
 
 def test_q_zero_reduces_to_zipf():
