@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .popularity import PopularityModel, _non_increasing, _sorted_search
+from .popularity import GuideTable, PopularityModel, _non_increasing
 
 SUM_TOL = 1e-9
 _MAX_SPLIT_RETRIES = 1000
@@ -64,6 +65,23 @@ class CachingPolicy:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "M", M)
+
+    @cached_property
+    def _placement(self) -> GuideTable:
+        """Exact-S placement, built at the first draw: lay the probabilities
+        end to end on a segment of length S and pick the S files whose
+        intervals contain u, u+1, ..., u+S-1 for one uniform u in [0, 1).
+
+        Each interval has length <= 1 and the points are spaced exactly 1
+        apart, so the S selected files are distinct and the marginal
+        inclusion probability of file f is exactly Pc(f). The search of the
+        interval edges returns 1-based file indices. Every edge from the last
+        file with Pc > 0 onward is S, so every point stays below the last edge
+        and never lands on a file with Pc = 0.
+        """
+        edges = np.concatenate(([0.0], np.cumsum(self.probs)))
+        edges[np.flatnonzero(self.probs)[-1] + 1:] = float(self.cache_size)
+        return GuideTable(edges, self.cache_size)
 
     def pc_of(self, files: np.ndarray) -> np.ndarray:
         """Pc of each 1-based file index; 0 past the stored prefix."""
@@ -210,28 +228,11 @@ def finite_n_outage(policy: CachingPolicy, model: PopularityModel, N: int, n_cel
     return float(np.add.reduce(prefix) + model.tail_mass(b))
 
 
-def _interval_partition(probs: np.ndarray, S: int, offsets: np.ndarray) -> np.ndarray:
-    """Exact-S placement: lay a policy's probabilities (its prefix: the files
-    past it have Pc = 0) end to end on a segment of length S and pick the S
-    files whose intervals contain u, u+1, ..., u+S-1.
-
-    Each interval has length <= 1 and the points are spaced exactly 1 apart,
-    so the S selected files are distinct and the marginal inclusion
-    probability of file f is exactly Pc(f). offsets is one uniform in [0,1)
-    per draw; returns an (n, S) int64 array of 1-based file indices. Every
-    edge from the last file with Pc > 0 onward is S, so every point stays
-    below the last edge and never lands on a file with Pc = 0.
-    """
-    edges = np.concatenate(([0.0], np.cumsum(probs)))
-    edges[np.flatnonzero(probs)[-1] + 1:] = float(S)
-    return _sorted_search(edges, offsets, S)
-
-
 def place_caches_batch(policy: CachingPolicy, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n caches of exactly S distinct files, one uniform consumed per draw."""
     if policy.cache_size < 1:
         raise ValueError("cannot place caches for a zero-size policy")
-    return _interval_partition(policy.probs, policy.cache_size, rng.random(n))
+    return policy._placement.search(rng.random(n))
 
 
 def build_split_policy(

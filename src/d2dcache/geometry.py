@@ -138,7 +138,8 @@ def pair_within_clusters(
 
     One sort of the composite key ((file, cell), holder) builds the inverted
     (file, cell) -> holders index with the holders ascending inside each key
-    run. The requests, sorted by ((file, cell), user), are resolved against
+    run. The requests up to the largest cached file, the only ones a holder
+    can serve, sorted by ((file, cell), user), are resolved against
     the runs by one searchsorted, and each request takes the first candidate
     at its exact minimum distance, so ties break toward the lowest candidate
     user index. The links come back in ascending rx order.
@@ -146,7 +147,8 @@ def pair_within_clusters(
     positions, requests = realization.positions, realization.requests
     cell_id, n_cells = grid.cell_id, grid.n_cells
     n = len(positions)
-    n_keys = max(int(caches.max(initial=0)), int(requests.max(initial=0))) + 1
+    top = int(caches.max(initial=0))
+    n_keys = top + 1
     if n_keys * n_cells * n > np.iinfo(np.int64).max:
         raise ValueError(
             f"pairing key (file, cell, user) overflows int64 for N={n} users "
@@ -169,7 +171,9 @@ def pair_within_clusters(
     run_key = skey[run_start]
     run_len = np.diff(np.append(run_start, len(skey)))
 
-    quser = np.sort((requests.astype(np.int64) * n_cells + cell_id) * n + users)
+    # a request past the largest cached file has no holder: no query for it
+    asked = np.flatnonzero(requests <= top)
+    quser = np.sort((requests[asked].astype(np.int64) * n_cells + cell_id[asked]) * n + asked)
     qkey = quser // n
     quser -= qkey * n
     run = np.minimum(np.searchsorted(run_key, qkey), len(run_key) - 1)

@@ -16,6 +16,7 @@ import numpy as np
 
 _HEAD = 1024  # terms of a power sum added exactly; Euler-Maclaurin sums the rest
 _DIGITS = 24  # significant digits of the Euler-Maclaurin integral
+_GUIDE_BUCKETS = 4  # guide-table buckets per table entry
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,11 @@ class PopularityModel:
         c.setflags(write=False)
         return c
 
+    @cached_property
+    def _cdf_guide(self) -> GuideTable:
+        """The request CDF's guide table, built at the first draw."""
+        return GuideTable(self._cdf, 1)
+
 
 def _shift_runs(n: int, hi: int, q: float) -> list[tuple[int, int, float]]:
     """Split files n..hi into maximal runs (first, last, shift) on which the
@@ -161,26 +167,48 @@ def _non_increasing(a: np.ndarray) -> bool:
     return not bool(np.any(a[1:] > a[:-1]))
 
 
-def _sorted_search(table: np.ndarray, u: np.ndarray, S: int) -> np.ndarray:
-    """np.searchsorted(table, u[:, None] + np.arange(S), side="right") as an
-    (n, S) int64 array, searched in ascending query order, with every point
-    u + j kept below j + 1. Where u + j rounds up to j + 1 (u = 1 - 2^-53
-    does for every j >= 1), the point is the largest double below j + 1; no
-    double lies between it and the exact sum, so it finds the same interval.
+class GuideTable:
+    """Exact search of a non-decreasing, non-negative table for points in
+    [0, S) by a guide table (Chen & Asau 1974; Devroye, Non-Uniform Random
+    Variate Generation, 1986, ch. III), with no sort of the queries.
 
-    Ascending queries walk the table forward, so the binary searches stay in
-    cache; each answer does not depend on the query order, so scattering the
-    answers back gives exactly the random-order result. u + j keeps the order
-    of u, so one argsort orders every column.
+    search(u) is np.searchsorted(table, u[:, None] + np.arange(S),
+    side="right") as an (n, S) int64 array, with every point u + j kept below
+    j + 1. Where u + j rounds up to j + 1 (u = 1 - 2^-53 does for every
+    j >= 1), the point is the largest double below j + 1; no double lies
+    between it and the exact sum, so it finds the same interval.
+
+    The value x falls in bucket floor(x * scale), scale = B / S with B =
+    _GUIDE_BUCKETS * len(table), the product rounded to a double as for the
+    table's own entries. Rounding never makes that map decrease, so an entry
+    in a lower bucket than x lies below x, even where x * scale rounds up
+    onto a bucket edge: first[b], the number of entries in the buckets below
+    b, is a lower bound on the answer of every point in bucket b. One forward
+    step from it settles each point with at most one entry between the bound
+    and itself; np.searchsorted finishes the rows still behind, which lie in
+    the crowded buckets of a steep table's tail.
     """
-    order = np.argsort(u)
-    u_sorted = u[order]
-    out = np.empty((len(u), S), dtype=np.int64)
-    for j in range(S):
-        point = u_sorted + j
-        np.minimum(point, np.nextafter(j + 1.0, 0.0), out=point)
-        out[order, j] = np.searchsorted(table, point, side="right")
-    return out
+
+    def __init__(self, table: np.ndarray, S: int):
+        n_buckets = _GUIDE_BUCKETS * len(table)
+        self.table, self.S = table, S
+        self._scale = n_buckets / S
+        counts = np.bincount((table * self._scale).astype(np.int64), minlength=n_buckets)
+        self._first = np.zeros(n_buckets + 1, dtype=np.int64)
+        np.cumsum(counts[:n_buckets], out=self._first[1:])
+        self._padded = np.append(table, np.inf)  # a forward step may read one past the end
+
+    def search(self, u: np.ndarray) -> np.ndarray:
+        out = np.empty((len(u), self.S), dtype=np.int64)
+        for j in range(self.S):
+            point = u + j
+            np.minimum(point, np.nextafter(j + 1.0, 0.0), out=point)
+            at = self._first[(point * self._scale).astype(np.int64)]
+            at += self._padded[at] <= point
+            behind = np.flatnonzero(self._padded[at] <= point)
+            at[behind] = np.searchsorted(self.table, point[behind], side="right")
+            out[:, j] = at
+        return out
 
 
 def sample_request(model: PopularityModel, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -188,6 +216,6 @@ def sample_request(model: PopularityModel, rng: np.random.Generator, size: int) 
     int64 array. Deterministic given the generator state: each draw consumes
     exactly one uniform. The CDF ends at 1.0, above every uniform, so no
     index exceeds M."""
-    idx = _sorted_search(model._cdf, rng.random(size), 1).reshape(size)
+    idx = model._cdf_guide.search(rng.random(size)).reshape(size)
     idx += 1
     return idx

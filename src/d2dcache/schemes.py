@@ -87,6 +87,27 @@ class SchemeResult:
         raise KeyError(f"no slot labelled {label!r}")
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """keys[order] and order = np.argsort(keys, kind="stable") for int64 keys
+    in [0, bound), by one np.sort of the packed keys key * L + row, L =
+    len(keys), decoded by //. The packed keys are distinct and sort by key,
+    then row, which is the stable order. They fit in int64 while bound * L
+    does, which is checked here: the pairing guard keeps 2 * n_cells * N in
+    int64, and with it the cell and group-size keys of at most N links, but
+    a (round, colour) key can pass n_cells where a cell holds many links.
+    """
+    L = len(keys)
+    if bound * L > np.iinfo(np.int64).max:
+        raise ValueError(f"packed sort key overflows int64 for {L} keys below {bound}")
+    packed = keys * L
+    packed += np.arange(L)
+    packed.sort()
+    # the packed keys are non-negative, so // and a product give divmod
+    skey = packed // L
+    packed -= skey * L
+    return skey, packed
+
+
 def _cochannel_interference(
     positions: np.ndarray,
     tx: np.ndarray,
@@ -105,8 +126,9 @@ def _cochannel_interference(
     before adding, which is exact: the sums start at +0.0 and every term is
     non-negative. Distances are sqrt(dx*dx + dy*dy), as in pairing.
     """
-    by_size = np.argsort(-sizes, kind="stable")
-    lay_sizes = sizes[by_size]
+    top = int(sizes.max())
+    shortfall, by_size = _stable_order(top - sizes, top + 1)
+    lay_sizes = top - shortfall
     lay_ends = np.cumsum(lay_sizes)
     lay_starts = lay_ends - lay_sizes
     n_rows = int(lay_ends[-1])
@@ -182,9 +204,7 @@ def _clustered_bits(
         )
 
     # round index = rank of the link inside its cluster; rx already ascends
-    cell = grid.cell_id[pairing.rx]
-    order = np.argsort(cell, kind="stable")
-    cell_sorted = cell[order]
+    cell_sorted, order = _stable_order(grid.cell_id[pairing.rx], grid.n_cells)
     boundaries = np.concatenate(([0], np.nonzero(np.diff(cell_sorted))[0] + 1))
     counts = np.diff(np.concatenate((boundaries, [L])))
     rounds = np.arange(L, dtype=np.int64) - boundaries[segment_ids(boundaries, L)]
@@ -193,11 +213,11 @@ def _clustered_bits(
 
     colors = reuse_color(grid, phy.K)
     link_color = colors[cell_sorted]
-    res_key = rounds * n_reuse_colors(phy.K) + link_color
+    n_colors = n_reuse_colors(phy.K)
+    res_key = rounds * n_colors + link_color
 
     # group links by (round, color) resource and accumulate cross interference
-    g_order = np.argsort(res_key, kind="stable")
-    g_key = res_key[g_order]
+    g_key, g_order = _stable_order(res_key, r_max * n_colors)
     g_bound = np.concatenate(([0], np.nonzero(np.diff(g_key))[0] + 1))
     g_sizes = np.diff(np.concatenate((g_bound, [L])))
 

@@ -214,11 +214,11 @@ def _check_closed_forms(m, S, gc, N, cells):
     pc[:len(policy.probs)] = policy.probs
     p = m.pmf_table
     poisson = float(np.add.reduce(p * np.exp(-gc * pc)))
-    assert closed_form_outage(policy, m, gc) == pytest.approx(poisson, rel=1e-13)
+    assert closed_form_outage(policy, m, gc) == pytest.approx(poisson, rel=1e-13, abs=0)
     with np.errstate(divide="ignore"):
         others_miss = np.exp((N - 1) * np.log1p(-pc / cells)) if N > 1 else 1.0
     finite = float(np.add.reduce(p * (1.0 - pc) * others_miss))
-    assert finite_n_outage(policy, m, N, cells) == pytest.approx(finite, rel=1e-13)
+    assert finite_n_outage(policy, m, N, cells) == pytest.approx(finite, rel=1e-13, abs=0)
 
 
 def test_closed_forms_never_read_the_pmf_past_the_support():

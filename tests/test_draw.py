@@ -1,7 +1,8 @@
-"""The realization draw: sorted inverse-CDF searches equal plain random-order
+"""The realization draw: guide-table inverse-CDF searches equal plain
 searches, each draw consumes one uniform, and pinned seeds pin the draw."""
 
 import hashlib
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 
 from d2dcache import caching
 from d2dcache.caching import (
-    _interval_partition,
+    CachingPolicy,
     build_split_policy,
     optimize_policy,
     place_caches_batch,
 )
 from d2dcache.geometry import build_realization
-from d2dcache.popularity import PopularityModel, _sorted_search, sample_request
+from d2dcache.popularity import GuideTable, PopularityModel, sample_request
 
 BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -72,12 +73,12 @@ def _points(u: np.ndarray, S: int) -> np.ndarray:
 @given(data=st.data(), table=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1 / 3, 0.75, 1.0, 1.5, 3.0]),
                                       min_size=1, max_size=12),
        S=st.integers(1, 4))
-def test_sorted_search_equals_plain_searchsorted(data, table, S):
+def test_guide_search_equals_plain_searchsorted(data, table, S):
     # ties in the table are flat runs of equal edges
     table = np.sort(np.array(table))
     for u in _sizes(data.draw(_queries(table, S))):
         expect = np.searchsorted(table, _points(u, S), side="right")
-        got = _sorted_search(table, u, S)
+        got = GuideTable(table, S).search(u)
         assert got.dtype == np.int64 and got.shape == (len(u), S)
         assert np.array_equal(got, expect)
 
@@ -91,7 +92,7 @@ def test_interval_partition_equals_plain_searchsorted(data, policy):
     for u in _sizes(data.draw(_queries(edges, S))):
         # no clamp to file M: every point stays below the last edge
         expect = np.searchsorted(edges, _points(u, S), side="right")
-        got = _interval_partition(policy.probs, S, u)
+        got = policy._placement.search(u)
         assert got.dtype == np.int64 and got.shape == (len(u), S)
         assert np.array_equal(got, expect)
         assert np.all((got >= 1) & (got <= M))
@@ -105,7 +106,7 @@ def test_interval_partition_equals_plain_searchsorted(data, policy):
 def test_interval_partition_distinct_at_largest_offset(probs, files):
     # at u = 1 - 2^-53, u + 1 and u + 2 round up to 2 and 3; each point must
     # still land in its own interval, not in the next one or on file M twice
-    got = _interval_partition(np.array(probs), 3, np.array([BELOW_ONE]))
+    got = CachingPolicy(np.array(probs), 3)._placement.search(np.array([BELOW_ONE]))
     assert got.tolist() == [files]
 
 
@@ -115,7 +116,7 @@ def test_interval_partition_never_draws_an_uncached_file():
     # rounds below S = 2: the points above it belong to file 710, not to file M
     policy = optimize_policy(PopularityModel(M=51_200, gamma=1.5, q=1024.0), 2, 128.0)
     assert np.flatnonzero(policy.probs)[-1] + 1 == 710
-    got = _interval_partition(policy.probs, policy.cache_size, np.array([BELOW_ONE, 1 - 1e-15]))
+    got = policy._placement.search(np.array([BELOW_ONE, 1 - 1e-15]))
     assert got[:, -1].tolist() == [710, 710]
 
 
@@ -131,6 +132,53 @@ def test_sample_request_equals_plain_searchsorted(data, M, gamma, q):
         got = sample_request(model, SimpleNamespace(random=lambda size: u), len(u))
         assert got.dtype == np.int64 and got.shape == (len(u),)
         assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("model", [
+    PopularityModel(M=51_200, gamma=1.5, q=1024.0),  # the shipped gamma > 1 point
+    PopularityModel(M=60, gamma=40.0, q=5.0),  # a CDF whose last 51 entries are 1.0
+], ids=["gamma1.5", "gamma40"])
+def test_guide_search_in_the_most_crowded_bucket(model):
+    # points among the entries of the reachable bucket that holds the most:
+    # the guide's bound lies two or more entries behind some of them, so one
+    # forward step leaves those rows to np.searchsorted
+    cdf, guide = model._cdf, model._cdf_guide
+    b = int(np.argmax(np.diff(guide._first)))
+    inside = cdf[guide._first[b]:guide._first[b + 1]]
+    u = np.concatenate([inside, np.nextafter(inside, 0.0), np.nextafter(inside, 2.0),
+                        [b / guide._scale, (b + 1) / guide._scale, BELOW_ONE]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    expect = np.searchsorted(cdf, u, side="right")
+    bound = guide._first[(u * guide._scale).astype(np.int64)]
+    assert np.all(bound <= expect) and np.any(expect - bound >= 2)
+    got = sample_request(model, SimpleNamespace(random=lambda size: u), len(u))
+    assert np.array_equal(got, expect + 1)
+
+
+def test_guide_search_where_the_bucket_product_rounds_up():
+    # points x below a bucket edge b / scale whose product x * scale rounds up
+    # to b, each in the table with the double above it; where that double is
+    # the rounded edge itself, a guide that counted the entries up to each
+    # edge would start past x
+    n, S = 50, 3
+    scale = 4 * n / S
+    up, under_edge = [], []
+    for b in range(1, 4 * n):
+        x = b / scale
+        for _ in range(4):
+            if Fraction(x) * Fraction(scale) < b <= x * scale:
+                (under_edge if np.nextafter(x, np.inf) == b / scale else up).append(x)
+            x = np.nextafter(x, 0.0)
+    up = np.sort(np.array(under_edge + up[::5]))  # spread over all three columns
+    assert under_edge and 2 * len(up) <= n and set(np.floor(up)) == {0.0, 1.0, 2.0}
+    table = np.sort(np.concatenate([np.zeros(n - 2 * len(up)), up, np.nextafter(up, np.inf)]))
+    guide = GuideTable(table, S)
+    assert guide._scale == scale
+    u = up - np.floor(up)  # exact: u + floor(x) is x again
+    got = guide.search(u)
+    assert np.array_equal(got, np.searchsorted(table, _points(u, S), side="right"))
+    assert np.array_equal(got[np.arange(len(u)), np.floor(up).astype(np.int64)],
+                          np.searchsorted(table, up, side="right"))
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])

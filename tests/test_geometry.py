@@ -206,6 +206,17 @@ def test_pairing_matches_oracle_on_lattice(N, M, S, k, seed):
     assert outcome.distance.tolist() == [brute[u][0] for u in sorted(brute)]
 
 
+def test_pairing_drops_requests_past_every_cached_file():
+    # file 2**62 is in no cache: its request gets no link, and the key guard,
+    # which reads only the cached files, does not count it
+    positions = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
+    caches = np.array([[1], [2], [1]])
+    realization = NetworkRealization(positions, np.array([2, 2**62, 1]), (caches,))
+    out = pair_within_clusters(realization, build_grid(2, positions), caches)
+    assert (out.tx.tolist(), out.rx.tolist()) == ([1, 2], [0, 2])
+    assert out.distance[0] == np.sqrt(0.1**2 + 0.1**2) and out.distance[1] == 0.0
+
+
 def test_pairing_key_overflow_is_an_error():
     one = np.ones(2, dtype=np.int64)
     realization = NetworkRealization(np.array([[0.1, 0.1], [0.2, 0.2]]), one, (one[:, None],))

@@ -22,7 +22,13 @@ from d2dcache.phy import PhyConfig, path_gain
 from d2dcache.popularity import PopularityModel
 from d2dcache.regimes import REGIMES
 from d2dcache.runner import build_point_inputs, run_trials
-from d2dcache.schemes import SchemeResult, _clustered_bits, run_scenario1, run_scenario2
+from d2dcache.schemes import (
+    SchemeResult,
+    _clustered_bits,
+    _stable_order,
+    run_scenario1,
+    run_scenario2,
+)
 from d2dcache.validate import _MINI, check_outage_closed_form, check_sinr_floor, cluster_ratios
 from link_oracle import all_pairs_interference, link_rate, ordered_pairs_within_groups
 
@@ -367,6 +373,30 @@ SLOT_PATTERNS = dict(
     c=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+INT64_MAX = np.iinfo(np.int64).max
+GUARD_CELLS = INT64_MAX // (2 * 5)  # the most cells the pairing guard admits for 5 users caching file 1
+
+
+@pytest.mark.parametrize("keys, bound", [
+    ([], 1),
+    ([5], 6),
+    ([3, 1, 3, 0, 1, 3, 2, 1], 4),
+    ([GUARD_CELLS - 1, 0, GUARD_CELLS - 1, 3, 0], GUARD_CELLS),
+    ([INT64_MAX // 5 - 1, 0, INT64_MAX // 5 - 1, 0, 7], INT64_MAX // 5),  # the packing's own limit
+], ids=["empty", "one", "ties", "pairing-guard", "packing-limit"])
+def test_packed_order_equals_stable_argsort(keys, bound):
+    keys = np.array(keys, dtype=np.int64)
+    skey, order = _stable_order(keys, bound)
+    expect = np.argsort(keys, kind="stable")
+    assert order.dtype == np.int64 and np.array_equal(order, expect)
+    assert np.array_equal(skey, keys[expect])
+
+
+def test_packed_order_overflow_is_an_error():
+    with pytest.raises(ValueError, match="overflows int64 for 5 keys below"):
+        _stable_order(np.zeros(5, dtype=np.int64), INT64_MAX // 5 + 1)
 
 
 @settings(max_examples=40, deadline=None)
