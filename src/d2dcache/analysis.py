@@ -3,15 +3,14 @@
 The small-cluster hit probability is governed by two constants: C2 = q*gamma
 / (S*g_c') and C1, the unique root >= 1 of C1 = 1 + C2*ln(1 + C1/C2). The
 closed-form outage of an optimally cached cluster with mean occupancy g_c'
-follows in terms of C1, C2 for both the heavy-tailed (gamma < 1) and
-light-tailed (gamma > 1) popularity regimes. Throughput scaling exponents
-are finite-size estimated by ordinary least squares in log-log coordinates.
+follows in terms of C1, C2 for the heavy-tailed (gamma < 1) popularity
+regime. Throughput scaling exponents are finite-size estimated by ordinary
+least squares in log-log coordinates.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ _MAX_FP_ITER = 10_000
 class FixedPointConstants:
     C1: float
     C2: float
-    gc_prime: float
     residual: float
 
     def __post_init__(self):
@@ -72,7 +70,7 @@ def solve_c1_c2(gc_prime: float, q: float, S: int, gamma: float) -> FixedPointCo
         raise ValueError(f"S must be >= 1, got {S}")
     c2 = q * gamma / (S * gc_prime)
     if c2 == 0.0:
-        return FixedPointConstants(C1=1.0, C2=0.0, gc_prime=gc_prime, residual=0.0)
+        return FixedPointConstants(C1=1.0, C2=0.0, residual=0.0)
 
     c1 = 1.0 + math.sqrt(2.0 * c2)
     for _ in range(_MAX_FP_ITER):
@@ -82,9 +80,7 @@ def solve_c1_c2(gc_prime: float, q: float, S: int, gamma: float) -> FixedPointCo
         c1 -= g / (1.0 - c2 / (c2 + c1))
     else:
         raise RuntimeError(f"fixed point did not converge for C2={c2}")
-    return FixedPointConstants(
-        C1=c1, C2=c2, gc_prime=gc_prime, residual=_fixed_point_residual(c1, c2)
-    )
+    return FixedPointConstants(C1=c1, C2=c2, residual=_fixed_point_residual(c1, c2))
 
 
 def _pow_ratio_log(c1: float, c2: float, gamma: float) -> float:
@@ -100,12 +96,12 @@ def _pow_ratio_log(c1: float, c2: float, gamma: float) -> float:
     return math.exp(log_a + log_b)
 
 
-def _clamp_probability(value: float, where: str) -> float:
+def _clamp_probability(value: float) -> float:
     if -1e-9 <= value <= 1.0 + 1e-9:
         return min(1.0, max(0.0, value))
     raise ValueError(
-        f"{where} evaluated to {value:.6g}, outside [0, 1] beyond tolerance; "
-        "the configuration is outside the formula's regime"
+        f"heavy-tailed cluster outage evaluated to {value:.6g}, outside [0, 1] beyond "
+        "tolerance; the configuration is outside the formula's regime"
     )
 
 
@@ -130,37 +126,7 @@ def po_sec_gamma_lt1(gc_prime: float, model: PopularityModel, S: int) -> float:
         tail_fac = 1.0
     a = (1.0 - gamma) * math.exp(-gamma * (1.0 / c1 - 1.0)) * t1 * head / denom
     b = t1 * tail_fac / denom
-    return _clamp_probability(1.0 + a - b, "heavy-tailed cluster outage")
-
-
-def po_sec_gamma_gt1(gc_prime: float, model: PopularityModel, S: int) -> float:
-    """Closed-form minimal cluster outage, light-tailed regime (gamma > 1).
-
-    Valid deep in the gc_prime = o(q) regime; warns when q*gamma/(S*gc_prime)
-    is not comfortably large.
-    """
-    gamma, q = model.gamma, model.q
-    if gamma <= 1.0:
-        raise ValueError(f"light-tailed formula needs gamma > 1, got {gamma}")
-    fp = solve_c1_c2(gc_prime, q, S, gamma)
-    c1, c2 = fp.C1, fp.C2
-    if c2 < 10.0:
-        warnings.warn(
-            f"light-tailed outage formula used with C2={c2:.3g} < 10; the "
-            "small-cluster asymptotics are only weakly satisfied",
-            stacklevel=2,
-        )
-    head = _pow_ratio_log(c1, c2, gamma)
-    a = (
-        (gamma - 1.0)
-        * math.exp(-gamma * (1.0 / c1 - 1.0))
-        * head
-        * (c2 / c1) ** (gamma - 1.0)
-    )
-    b = ((c1 / c2) ** (gamma - 1.0) - (c1 / (c1 + c2)) ** (gamma - 1.0)) * (c2 / c1) ** (
-        gamma - 1.0
-    )
-    return _clamp_probability(1.0 + a - b, "light-tailed cluster outage")
+    return _clamp_probability(1.0 + a - b)
 
 
 def fit_loglog(x, y) -> ScalingFit:

@@ -1,8 +1,10 @@
 """Throughput, outage and transport-capacity extraction from scheme results.
 
-Per-user throughput is bits per epoch. The network figure of merit is
-the minimum over user indices of the across-realization mean throughput; the
-outage probability is the mean fraction of users that no scheme slot served.
+Per-user throughput is bits per epoch. The estimate carries the trial mean
+of the network mean throughput, which the sweep fits, and the minimum over
+user indices of the across-realization mean throughput, a selection
+statistic that rises with the trial count; the outage probability is the
+mean fraction of users that no scheme slot served.
 Transport capacity sums distance times average rate over scheduled pairs and
 is checked against the closed-form upper bound.
 """

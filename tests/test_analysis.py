@@ -9,13 +9,12 @@ from d2dcache.analysis import (
     RESIDUAL_TOL,
     FixedPointConstants,
     fit_loglog,
-    po_sec_gamma_gt1,
     po_sec_gamma_lt1,
     solve_c1_c2,
 )
 from d2dcache.config import config_from_dict
 from d2dcache.regimes import REGIMES
-from d2dcache.caching import optimize_policy
+from d2dcache.caching import closed_form_outage, optimize_policy
 from d2dcache.popularity import PopularityModel
 from d2dcache.validate import cluster_outage_mc
 
@@ -47,9 +46,9 @@ def test_fixed_point_rejects_bad_inputs():
         lambda: solve_c1_c2(0.0, 1.0, 1, 0.6),
         lambda: solve_c1_c2(math.nan, 1.0, 1, 0.6),
         lambda: solve_c1_c2(1.0, 1.0, 0, 0.6),
-        lambda: FixedPointConstants(C1=0.5, C2=1.0, gc_prime=1.0, residual=0.0),
-        lambda: FixedPointConstants(C1=2.0, C2=1.0, gc_prime=1.0, residual=1e-9),
-        lambda: FixedPointConstants(C1=2.0, C2=1.0, gc_prime=1.0, residual=math.nan),
+        lambda: FixedPointConstants(C1=0.5, C2=1.0, residual=0.0),
+        lambda: FixedPointConstants(C1=2.0, C2=1.0, residual=1e-9),
+        lambda: FixedPointConstants(C1=2.0, C2=1.0, residual=math.nan),
     ):
         with pytest.raises(ValueError):
             bad()
@@ -94,11 +93,6 @@ def test_po_lt1_rejects_out_of_regime():
             po_sec_gamma_lt1(gc, m, 2)
 
 
-def test_po_gt1_rejects_out_of_regime():
-    with pytest.raises(ValueError, match="gamma > 1"):
-        po_sec_gamma_gt1(10.0, PopularityModel(M=100, gamma=0.6, q=5.0), 2)
-
-
 def test_po_lt1_doubling_scaling():
     # deep in the small-occupancy regime, doubling the driving product scales
     # the hit probability by 2^(1-gamma) within 5%
@@ -108,50 +102,26 @@ def test_po_lt1_doubling_scaling():
     assert ratio == pytest.approx(2.0**0.4, rel=0.05)
 
 
-def _matches_cluster_oracle(m, formula, drivers, seed):
-    """The small-cluster formula within 3 SE of the Poisson-occupancy cluster
-    oracle at occupancies driver / S, S = 2."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for driver in drivers:
-        gc = driver / 2
-        p_mc, se = cluster_outage_mc(m, optimize_policy(m, 2, gc), gc, 100_000, rng)
-        assert abs(p_mc - formula(gc, m, 2)) <= 3.0 * se, f"gc={gc}: {p_mc}"
-
-
 def test_po_lt1_matches_cluster_monte_carlo():
+    # the small-cluster law within 3 SE of the Poisson-occupancy cluster
+    # oracle at occupancies eps_rho * M / S, S = 2
     m = PopularityModel(M=200_000, gamma=0.6, q=50.0)
-    _matches_cluster_oracle(m, po_sec_gamma_lt1, (2.0**-5 * m.M, 2.0**-8 * m.M), 424242)
+    rng = np.random.Generator(np.random.PCG64(424242))
+    for gc in (2.0**-5 * m.M / 2, 2.0**-8 * m.M / 2):
+        p_mc, se = cluster_outage_mc(m, optimize_policy(m, 2, gc), gc, 100_000, rng)
+        assert abs(p_mc - po_sec_gamma_lt1(gc, m, 2)) <= 3.0 * se, f"gc={gc}: {p_mc}"
 
 
-def test_po_gt1_in_range_and_warns_shallow():
-    m = PopularityModel(M=100_000, gamma=1.5, q=1000.0)
-    for k in range(6, 14):
-        v = po_sec_gamma_gt1(2.0**-k * m.q / 2, m, 2)
-        assert 0.0 <= v <= 1.0
-    with pytest.warns(UserWarning):
-        po_sec_gamma_gt1(m.q, m, 2)  # C2 small: asymptotics weakly satisfied
-
-
-def test_po_gt1_leading_constant_fit():
-    # the formula collapses to p_h = c * (eps'*alpha1'/gamma) deep down;
-    # every deep point sits within 10% of the fitted constant
+def test_exact_hit_doubling_gt1():
+    # light-tailed small clusters: the exact Poisson hit probability of the
+    # solved policy, the quantity `analyze` reports, doubles with occupancy
     m = PopularityModel(M=200_000, gamma=1.5, q=2000.0)
-    xs = [2.0**-k / m.gamma for k in range(12, 17)]
-    phs = [1.0 - po_sec_gamma_gt1(x * m.gamma * m.q / 2, m, 2) for x in xs]
-    c = float(np.dot(xs, phs) / np.dot(xs, xs))
-    for x, ph in zip(xs, phs):
-        assert ph == pytest.approx(c * x, rel=0.10)
 
+    def ph(ea):
+        gc = ea * m.q / 2
+        return 1.0 - closed_form_outage(optimize_policy(m, 2, gc), m, gc)
 
-def test_po_gt1_doubling_scaling():
-    m = PopularityModel(M=200_000, gamma=1.5, q=2000.0)
-    ph = lambda ea: 1.0 - po_sec_gamma_gt1(ea * m.q / 2, m, 2)
     assert ph(2.0**-9) / ph(2.0**-10) == pytest.approx(2.0, rel=0.05)
-
-
-def test_po_gt1_matches_cluster_monte_carlo():
-    m = PopularityModel(M=200_000, gamma=1.5, q=2000.0)
-    _matches_cluster_oracle(m, po_sec_gamma_gt1, (2.0**-9 * m.q, 2.0**-10 * m.q), 31337)
 
 
 def test_predicted_exponents():

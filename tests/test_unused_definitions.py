@@ -1,10 +1,12 @@
 """Every top-level function, class and constant of the package is used beyond
-its own lines somewhere in src/, tests/, scripts/ or bench/."""
+its own lines somewhere in src/, scripts/ or bench/. A reference from tests/
+does not count: a name that only its own tests call is dead code."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+USING_DIRS = ("src", "scripts", "bench")
 
 
 def _references(tree: ast.Module):
@@ -20,9 +22,11 @@ def _references(tree: ast.Module):
             yield node.args[1].value, node.lineno
 
 
-def unused_definitions(package: Path, files) -> list[str]:
+def unused_definitions(package: Path, root: Path) -> list[str]:
     """`file:line name` of every top-level def, class or assigned name of the
-    package's modules that no file references outside the definition."""
+    package's modules that no file under root's USING_DIRS references outside
+    the definition."""
+    files = [p for d in USING_DIRS for p in (root / d).rglob("*.py")]
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
     refs = [(name, path, line) for path, tree in trees.items() for name, line in _references(tree)]
     unused = []
@@ -39,16 +43,19 @@ def unused_definitions(package: Path, files) -> list[str]:
 
 
 def test_no_unused_definitions():
-    files = [p for d in ("src", "tests", "scripts", "bench") for p in (ROOT / d).rglob("*.py")]
-    found = unused_definitions(ROOT / "src" / "d2dcache", files)
+    found = unused_definitions(ROOT / "src" / "d2dcache", ROOT)
     assert not found, "definitions nothing uses:\n" + "\n".join(found)
 
 
 def test_scan_reports_unused_and_counts_targets(tmp_path):
-    (tmp_path / "pkg").mkdir()
-    lib, user = tmp_path / "pkg" / "m.py", tmp_path / "user.py"
-    lib.write_text("LIMIT = 3\ndef rec(n):\n    return rec(n - 1) if n else LIMIT\n"
-                   "def used(): pass\ndef rebound(): pass\nclass Lone: pass\n", encoding="utf-8")
-    user.write_text("import m\nm.used()\nTarget(m, 'rebound', 'layer')\n", encoding="utf-8")
-    found = unused_definitions(tmp_path / "pkg", [lib, user])
-    assert found == ["pkg/m.py:2 rec", "pkg/m.py:6 Lone"]
+    for d in ("src/pkg", "scripts", "tests"):
+        (tmp_path / d).mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "m.py").write_text(
+        "LIMIT = 3\ndef rec(n):\n    return rec(n - 1) if n else LIMIT\n"
+        "def used(): pass\ndef rebound(): pass\nclass Lone: pass\ndef tested(): pass\n",
+        encoding="utf-8")
+    (tmp_path / "scripts" / "user.py").write_text(
+        "import m\nm.used()\nTarget(m, 'rebound', 'layer')\n", encoding="utf-8")
+    (tmp_path / "tests" / "test_m.py").write_text("import m\nm.tested()\n", encoding="utf-8")
+    found = unused_definitions(tmp_path / "src" / "pkg", tmp_path)
+    assert found == ["pkg/m.py:2 rec", "pkg/m.py:6 Lone", "pkg/m.py:7 tested"]

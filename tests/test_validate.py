@@ -69,6 +69,18 @@ def test_checks_fail_across_their_threshold(check, passing, failing, failure_tex
     assert failure_text in report.detail
 
 
+def test_hit_probability_curve_rows():
+    # at the seed of scripts/hit_probability_curve.py; the law's own bias at
+    # M = 2e4 is 0.6 to 1.1 SE of these 2e4 draws
+    model = popularity.PopularityModel(M=20_000, gamma=0.6, q=2.0)
+    rows = validate.hit_probability_curve(model, 2, 20240812, 20_000)
+    assert [r["eps_rho"] for r in rows] == [2.0**-k for k in range(4, 11)]
+    mc = [r for r in rows if "p_out_mc" in r]
+    assert [r["eps_rho"] for r in mc] == [2.0**-4, 2.0**-7, 2.0**-10]
+    assert all(0.0 < r["p_hit_closed_form"] < 1.0 for r in rows)
+    assert all(r["mc_se"] > 0.0 and r["gap_in_se"] <= 3.0 for r in mc), mc
+
+
 def test_hit_probability_script_smoke(tmp_path):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
