@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -588,3 +589,44 @@ def test_popularity_import_stays_light():
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert out == "[]\n"
+
+
+# sha256 of the sweep and analyze artifacts of each shipped config at
+# n_realizations: 2 and two threads; a change that moves a byte updates its
+# digest and says why
+PINNED_ARTIFACTS = {
+    "outage_match.yaml": {
+        "results.csv": "262afe53cce6536c0cb1f6edce74a69a3ba3b5290f129f1beb9fcd6ff5ea5dfc",
+        "results.json": "7e593b2d47eecd172864fcfbcecc6b0f147474c0d7025bf488e8b402869eb112",
+        "analysis.csv": "f6a90bebe5f26d05cd868fd6fcdfb0acfa0289d9554098cddbf2ff1ad7d00e17",
+        "analysis.json": "9908b4a4ef45d05ea01437f8f9d1fb624048896d879d6fc37486c47c485d347a",
+    },
+    "scaling_gt1.yaml": {
+        "results.csv": "e28757e08393675ada52ed7dad091692835aedd22da012b3d551ba110dcbb12f",
+        "results.json": "08101150bc347dae7519a73b5e40b7e5a739a8daaae3da56fe32a3eb875a8250",
+        "analysis.csv": "0f819484cc33b2644c14b607d896ec13117930e225384d2ff2664f1b4c2df136",
+        "analysis.json": "dd90188291f6cf6686f1e146352cab24982b3d30c86129829498a69ebbb82ee3",
+    },
+    "scaling_lt1.yaml": {
+        "results.csv": "03abb968d2d1a3f09e5824ffa5520aad5fe3af33705a107621b1ebefa0d12272",
+        "results.json": "693ce46f0162811046979bc3577c9fa8f724347de225bb12a9e1b26a26c2a88f",
+        "analysis.csv": "ccd44d406abeb85ebac3a8f6e943555dd09dab369230d9033f3070e3f6c868d7",
+        "analysis.json": "9eba973b9d60095f87cf023fc46965edc932fe006543a7b1b460949554e97ebf",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_pinned_artifact_digests(tmp_path, name):
+    raw = yaml.safe_load((CONFIGS / name).read_text())
+    raw["n_realizations"] = 2
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(raw))
+    for command in ("sweep", "analyze"):
+        argv = [command, "--config", str(path), "--threads", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+    digests = {
+        f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in PINNED_ARTIFACTS[name]
+    }
+    assert digests == PINNED_ARTIFACTS[name]
