@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .popularity import GuideTable, PopularityModel, _non_increasing
+from .popularity import GuideTable, PopularityModel
 
 SUM_TOL = 1e-9
 _MAX_SPLIT_RETRIES = 1000
@@ -91,13 +91,10 @@ class CachingPolicy:
         return pc
 
 
-def _waterfill_probs(
-    prob_mass: np.ndarray, S: int, g_c: float, non_increasing: bool | None = None
-) -> np.ndarray:
+def _waterfill_probs(prob_mass: np.ndarray, S: int, g_c: float) -> np.ndarray:
     """Minimize sum p*exp(-g_c*Pc) s.t. sum Pc = S, 0 <= Pc <= 1, for a
-    non-increasing mass p; returns Pc on a prefix of the files, and every
-    file past it has Pc = 0. non_increasing says whether p is known to be
-    non-increasing; None checks every file here.
+    non-increasing mass p, such as a checked pmf_table; returns Pc on a
+    prefix of the files, and every file past it has Pc = 0.
 
     KKT: Pc(f) = clip((nu - v_f)/g_c, 0, 1) with floor v_f = -ln(g_c*p_f),
     non-decreasing in f, and water level nu. The budget T(nu) = sum Pc is
@@ -126,10 +123,6 @@ def _waterfill_probs(
     0 or 1 and the gap a whole number of files; no spread could close that,
     and CachingPolicy's sum check reports it.
     """
-    if non_increasing is None:
-        non_increasing = _non_increasing(prob_mass)
-    if not non_increasing:
-        raise ValueError("water-filling needs a non-increasing probability mass")
     M = len(prob_mass)
     log_gc = np.log(g_c)
     v, cs = np.empty(0), np.zeros(1)
@@ -186,7 +179,7 @@ def optimize_policy(model: PopularityModel, S: int, g_c: float) -> CachingPolicy
         raise ValueError(f"g_c must be positive and finite, got {g_c}")
     if S == model.M:
         return CachingPolicy(np.ones(model.M), S)
-    pc = _waterfill_probs(model.pmf_table, S, float(g_c), model.pmf_non_increasing)
+    pc = _waterfill_probs(model.pmf_table, S, float(g_c))
     return CachingPolicy(pc, S, model.M)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caching import CachingPolicy, place_caches_batch, place_split_caches_batch
+from .phy import PhyConfig
 from .popularity import PopularityModel, sample_request
 
 
@@ -101,22 +102,16 @@ def grid_from_target_side(d_target: float) -> int:
     return max(1, int(math.floor(1.0 / d_target + 0.5)))
 
 
-def reuse_color(grid: ClusterGrid, K: int) -> np.ndarray:
-    """Color of every cell, one of (2(K+1))^2 values.
+def reuse_color(grid: ClusterGrid, phy: PhyConfig) -> np.ndarray:
+    """Color of every cell, one of p^2 values for p = phy.reuse_period.
 
-    color(cx, cy) = (cx mod p) * p + (cy mod p) with p = 2(K+1): co-channel
-    cells sit at offsets that are multiples of p on both axes.
+    color(cx, cy) = (cx mod p) * p + (cy mod p): co-channel cells sit at
+    offsets that are multiples of p on both axes.
     """
-    if K < 1:
-        raise ValueError(f"reuse parameter K must be >= 1, got {K}")
-    p = 2 * (K + 1)
+    p = phy.reuse_period
     cells = np.arange(grid.n_cells)
     cx, cy = cells // grid.k, cells % grid.k
     return (cx % p) * p + (cy % p)
-
-
-def n_reuse_colors(K: int) -> int:
-    return (2 * (K + 1)) ** 2
 
 
 def segment_ids(starts: np.ndarray, total: int) -> np.ndarray:

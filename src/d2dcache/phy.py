@@ -104,8 +104,14 @@ class PhyConfig:
         return np.minimum(sinr, self.sinr_ceiling)
 
     @property
+    def reuse_period(self) -> int:
+        """Cells between co-channel clusters on each axis, 2(K+1); the band
+        splits into reuse_period**2 sub-channels."""
+        return 2 * (self.K + 1)
+
+    @property
     def subchannel_bandwidth(self) -> float:
-        return self.B / (2 * (self.K + 1)) ** 2
+        return self.B / self.reuse_period**2
 
 
 def path_gain(d, cfg: PhyConfig):

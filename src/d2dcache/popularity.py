@@ -97,17 +97,15 @@ class PopularityModel:
 
     @cached_property
     def pmf_table(self) -> np.ndarray:
-        """Full probability vector over files 1..M (index 0 is file 1)."""
+        """Full probability vector over files 1..M (index 0 is file 1),
+        read-only and checked once to never increase with f, the order the
+        water-filling solve takes exactly."""
         t = self._weights(1, self.M)
         t /= self.norm
+        if np.any(t[1:] > t[:-1]):
+            raise ValueError("water-filling needs a non-increasing probability mass")
         t.setflags(write=False)
         return t
-
-    @cached_property
-    def pmf_non_increasing(self) -> bool:
-        """Whether pmf_table never increases with f, checked over every file
-        once; the table is read-only."""
-        return _non_increasing(self.pmf_table)
 
     @cached_property
     def _cdf(self) -> np.ndarray:
@@ -161,10 +159,6 @@ def _power_integral(a: float, c: float, gamma: float) -> float:
         em1 = y.exp() - 1
         ctx.prec = _DIGITS
         return float((t * A.ln()).exp() * em1 / t)
-
-
-def _non_increasing(a: np.ndarray) -> bool:
-    return not bool(np.any(a[1:] > a[:-1]))
 
 
 class GuideTable:

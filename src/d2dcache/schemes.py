@@ -21,7 +21,6 @@ from .geometry import (
     NetworkRealization,
     PairingOutcome,
     build_grid,
-    n_reuse_colors,
     pair_within_clusters,
     reuse_color,
     segment_ids,
@@ -211,9 +210,8 @@ def _clustered_bits(
     r_max = int(counts.max())
     airtime = 0.5 / r_max
 
-    colors = reuse_color(grid, phy.K)
-    link_color = colors[cell_sorted]
-    n_colors = n_reuse_colors(phy.K)
+    link_color = reuse_color(grid, phy)[cell_sorted]
+    n_colors = phy.reuse_period**2
     res_key = rounds * n_colors + link_color
 
     # group links by (round, color) resource and accumulate cross interference

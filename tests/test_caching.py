@@ -130,15 +130,17 @@ def test_optimize_matches_bisection_oracle(M, gamma, q, gc, data):
     assert obj <= ref_obj * (1.0 + 1e-15 + gc * 2.0**-50)
 
 
-def test_waterfill_rejects_increasing_mass():
-    with pytest.raises(ValueError, match="non-increasing"):
-        caching._waterfill_probs(np.array([0.2, 0.3, 0.5]), 1, 4.0)
+def test_waterfill_rejects_increasing_mass(monkeypatch):
+    monkeypatch.setattr(PopularityModel, "_weights", lambda self, lo, hi: np.arange(lo, hi + 1.0))
+    for solve in (lambda m: m.pmf_table, lambda m: optimize_policy(m, 1, 4.0)):
+        with pytest.raises(ValueError, match="non-increasing"):
+            solve(PopularityModel(M=3, gamma=0.6))
 
 
 @pytest.fixture(scope="module")
 def two_million_files() -> PopularityModel:
     m = PopularityModel(M=2_000_000, gamma=0.6, q=2.0)
-    m.pmf_table, m.pmf_non_increasing
+    m.pmf_table
     return m
 
 

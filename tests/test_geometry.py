@@ -10,12 +10,12 @@ from d2dcache.geometry import (
     build_grid,
     build_realization,
     grid_from_target_side,
-    n_reuse_colors,
     pair_within_clusters,
     place_users,
     reuse_color,
     segment_ids,
 )
+from d2dcache.phy import PhyConfig
 from d2dcache.popularity import PopularityModel
 
 
@@ -65,17 +65,16 @@ def test_realization_and_grid_validation():
         lambda: NetworkRealization(pos, req[:1], cache),
         lambda: NetworkRealization(pos + 1.0, req, cache),
         lambda: ClusterGrid(0, np.zeros(0, dtype=np.int64)),
-        lambda: reuse_color(build_grid(2, pos), 0),
     ):
         with pytest.raises(ValueError):
             bad()
 
 
 def test_reuse_color_count_and_uniqueness():
-    assert n_reuse_colors(1) == 16
+    assert PhyConfig(K=1).reuse_period == 4
     pts = np.random.Generator(np.random.PCG64(0)).random((10, 2))
     g4 = build_grid(4, pts)
-    colors = reuse_color(g4, 1)
+    colors = reuse_color(g4, PhyConfig(K=1))
     # a 4x4 grid with reuse period 4 uses each of the 16 colors exactly once
     assert sorted(colors.tolist()) == list(range(16))
 
@@ -85,7 +84,7 @@ def test_reuse_color_cochannel_separation():
     cx, cy = np.divmod(np.arange(g.n_cells), g.k)
     dx, dy = np.abs(cx[:, None] - cx), np.abs(cy[:, None] - cy)
     for K in (1, 2):
-        colors = reuse_color(g, K)
+        colors = reuse_color(g, PhyConfig(K=K))
         p = 2 * (K + 1)
         same = (colors[:, None] == colors) & ~np.eye(g.n_cells, dtype=bool)
         assert same.any()

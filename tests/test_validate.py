@@ -29,7 +29,7 @@ def test_corrupted_reuse_coloring_is_caught(monkeypatch):
     with co-channel interference and must trip the SINR-floor suite."""
     import d2dcache.schemes as schemes
 
-    def broken_coloring(grid, K):
+    def broken_coloring(grid, phy):
         return np.zeros(grid.n_cells, dtype=np.int64)
 
     monkeypatch.setattr(schemes, "reuse_color", broken_coloring)
