@@ -31,10 +31,14 @@ def main():
     fit = fit_loglog([r["eps_rho"] for r in rows], [r["p_hit_closed_form"] for r in rows])
     print(f"hit-probability slope: {fit.slope:.4f} (prediction {1 - args.gamma:.4f})")
     for r in rows:
-        extra = f"  MC gap {r['gap_in_se']:.2f} SE" if "gap_in_se" in r else ""
+        extra = ""
+        if "gap_in_se" in r:
+            extra = (f"  MC gap {r['gap_in_se']:.2f} SE from the law, "
+                     f"{r['gap_exact_in_se']:.2f} SE from the exact outage")
         print(f"  eps*rho = {r['eps_rho']:.6f}  p_hit = {r['p_hit_closed_form']:.6f}{extra}")
 
-    keys = ["eps_rho", "p_hit_closed_form", "p_out_mc", "mc_se", "gap_in_se"]
+    keys = ["eps_rho", "p_hit_closed_form", "p_out_mc", "mc_se", "gap_in_se",
+            "p_out_exact", "gap_exact_in_se"]
     table = [[r.get(k) for k in keys] for r in rows]
     [path] = write_tables(args.out, "hit_probability", "csv", keys, table, None)
     print(f"wrote {path}")

@@ -41,8 +41,12 @@ class PopularityModel:
             raise ValueError(f"q must be non-negative, got {self.q}")
 
     def _weights(self, lo: int, hi: int) -> np.ndarray:
-        """(f+q)^-gamma for f = lo..hi as exp(-gamma*log(f+q)), which stays
-        finite where (f+q)**-gamma would underflow first."""
+        """(f+q)^-gamma for f = lo..hi as exp(-gamma*log(f+q)). This form
+        underflows where (f+q)**-gamma does, at gamma*ln(f+q) near 745; what
+        ties the code to it is that _power_sum's exact head adds these very
+        weights, so the norm is the fsum of the table's own terms. Where gamma
+        is a few ulps off an integer they carry a small bias (ROADMAP, "A bias
+        in the pmf weights"); another form would move every table's last bits."""
         f = np.arange(lo, hi + 1, dtype=np.float64)
         return np.exp(-self.gamma * np.log(f + self.q))
 

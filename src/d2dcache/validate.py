@@ -166,8 +166,10 @@ def cluster_outage_mc(model, policy, gc: float, n_draws: int, rng) -> tuple[floa
 
 def hit_probability_curve(model, S: int, seed: int, n_draws: int) -> list[dict]:
     """Small-cluster hit probability 1 - po_sec_gamma_lt1 at the occupancies
-    eps_rho * M / S, eps_rho = 2^-4 .. 2^-10, with the cluster oracle's outage,
-    its SE and its distance from the closed form in SEs at 2^-4, 2^-7, 2^-10."""
+    eps_rho * M / S, eps_rho = 2^-4 .. 2^-10. At 2^-4, 2^-7 and 2^-10 a row
+    adds the cluster oracle's outage and its SE, the exact outage of the
+    policy the oracle draws from, and the oracle's distance in SEs from the
+    law (gap_in_se) and from that exact outage (gap_exact_in_se)."""
     rng = _rng(seed)
     rows = []
     for k in range(4, 11):
@@ -178,7 +180,9 @@ def hit_probability_curve(model, S: int, seed: int, n_draws: int) -> list[dict]:
         if k in (4, 7, 10):
             policy = caching.optimize_policy(model, S, gc)
             p_mc, se = cluster_outage_mc(model, policy, gc, n_draws, rng)
-            row.update(p_out_mc=p_mc, mc_se=se, gap_in_se=abs(p_mc - po) / se)
+            exact = caching.closed_form_outage(policy, model, gc)
+            row.update(p_out_mc=p_mc, mc_se=se, gap_in_se=abs(p_mc - po) / se,
+                       p_out_exact=exact, gap_exact_in_se=abs(p_mc - exact) / se)
         rows.append(row)
     return rows
 

@@ -81,6 +81,15 @@ def test_hit_probability_curve_rows():
     assert all(r["mc_se"] > 0.0 and r["gap_in_se"] <= 3.0 for r in mc), mc
 
 
+@pytest.mark.parametrize("seed", [validate._SEED, 20240812])
+def test_hit_probability_curve_exact_gaps(seed):
+    # against the exact outage of the simulated policy, not the law, every
+    # Monte Carlo row is within 3 SE at both seeds (2.61 SE at worst)
+    model = popularity.PopularityModel(M=20_000, gamma=0.6, q=2.0)
+    mc = [r for r in validate.hit_probability_curve(model, 2, seed, 20_000) if "p_out_mc" in r]
+    assert len(mc) == 3 and all(r["gap_exact_in_se"] <= 3.0 for r in mc), mc
+
+
 def test_hit_probability_script_smoke(tmp_path):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
@@ -91,6 +100,7 @@ def test_hit_probability_script_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = (tmp_path / "hit_probability.csv").read_text().splitlines()
     assert len(rows) == 1 + 7  # header, one row per eps*rho = 2^-4 .. 2^-10
+    assert rows[0].split(",")[-3:] == ["gap_in_se", "p_out_exact", "gap_exact_in_se"]
 
 
 def test_line_trace_script_smoke():
