@@ -57,7 +57,7 @@ def test_pmf_sums_to_one_and_monotone(M, gamma, q):
 )
 @example(M=2_000_000, gamma=0.0, q=0.0)
 @example(M=2_000_000, gamma=0.6, q=2.0)
-def test_pmf_table_non_increasing(M, gamma, q):
+def test_pmf_table_never_increases(M, gamma, q):
     # the water-filling solve takes this order exactly, without a tolerance
     t = PopularityModel(M=M, gamma=gamma, q=q).pmf_table
     assert np.all(t[1:] <= t[:-1])
