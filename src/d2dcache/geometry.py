@@ -122,6 +122,33 @@ def segment_ids(starts: np.ndarray, total: int) -> np.ndarray:
     return np.cumsum(np.bincount(starts[1:], minlength=total))
 
 
+def packed_sort(keys: np.ndarray, payload: np.ndarray, width: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 keys in [0, bound) and their payloads in [0, width), broadcast
+    against keys, both flat and sorted by key, then payload, by one in-place
+    np.sort of keys * width + payload; keys is overwritten. With payload =
+    np.arange(len(keys)) and width = len(keys), the order is the stable argsort.
+    """
+    if bound * width > np.iinfo(np.int64).max:
+        raise ValueError(f"packed sort key overflows int64 for keys below {bound} and width {width}")
+    keys *= width
+    keys += payload
+    packed = keys.reshape(-1)
+    packed.sort()
+    # keys >= 0: // and a product give divmod, about ten times faster in int64
+    skey = packed // width
+    packed -= skey * width
+    return skey, packed
+
+
+def run_starts(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row and length of each run of equal keys in sorted_keys."""
+    new_run = np.empty(len(sorted_keys), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    return starts, np.diff(starts, append=len(sorted_keys))
+
+
 def pair_within_clusters(
     realization: NetworkRealization,
     grid: ClusterGrid,
@@ -149,35 +176,23 @@ def pair_within_clusters(
             f"pairing key (file, cell, user) overflows int64 for N={n} users "
             f"and {n_cells} cells"
         )
-    users = np.arange(n, dtype=np.int64)
     held = caches.astype(np.int64) * n_cells
     held += cell_id[:, None]
-    held *= n
-    held += users[:, None]
-    # the keys are non-negative, so // and a product give divmod's quotient
-    # and remainder; int64 // by a scalar is about ten times faster than divmod
-    sowner = np.sort(held, axis=None)
-    skey = sowner // n
-    sowner -= skey * n
-    new_run = np.empty(len(skey), dtype=bool)
-    new_run[:1] = True
-    np.not_equal(skey[1:], skey[:-1], out=new_run[1:])
-    run_start = np.flatnonzero(new_run)
+    skey, sowner = packed_sort(held, np.arange(n)[:, None], n, n_keys * n_cells)
+    run_start, run_len = run_starts(skey)
     run_key = skey[run_start]
-    run_len = np.diff(np.append(run_start, len(skey)))
 
     # a request past the largest cached file has no holder: no query for it
     asked = np.flatnonzero(requests <= top)
-    quser = np.sort((requests[asked].astype(np.int64) * n_cells + cell_id[asked]) * n + asked)
-    qkey = quser // n
-    quser -= qkey * n
+    qkey = requests[asked].astype(np.int64) * n_cells + cell_id[asked]
+    qkey, rx = packed_sort(qkey, asked, n, n_keys * n_cells)
     run = np.minimum(np.searchsorted(run_key, qkey), len(run_key) - 1)
     hit = np.flatnonzero(run_key[run] == qkey)
     if len(hit) == 0:
         empty = np.empty(0, dtype=np.int64)
         return PairingOutcome(empty, empty, np.empty(0))
 
-    rx, run = quser[hit], run[hit]
+    rx, run = rx[hit], run[hit]
     c = run_len[run]
     starts = np.cumsum(c) - c
     total = int(starts[-1] + c[-1])

@@ -21,8 +21,10 @@ from .geometry import (
     NetworkRealization,
     PairingOutcome,
     build_grid,
+    packed_sort,
     pair_within_clusters,
     reuse_color,
+    run_starts,
     segment_ids,
 )
 from .phy import PhyConfig, path_gain
@@ -86,27 +88,6 @@ class SchemeResult:
         raise KeyError(f"no slot labelled {label!r}")
 
 
-def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """keys[order] and order = np.argsort(keys, kind="stable") for int64 keys
-    in [0, bound), by one np.sort of the packed keys key * L + row, L =
-    len(keys), decoded by //. The packed keys are distinct and sort by key,
-    then row, which is the stable order. They fit in int64 while bound * L
-    does, which is checked here: the pairing guard keeps 2 * n_cells * N in
-    int64, and with it the cell and group-size keys of at most N links, but
-    a (round, colour) key can pass n_cells where a cell holds many links.
-    """
-    L = len(keys)
-    if bound * L > np.iinfo(np.int64).max:
-        raise ValueError(f"packed sort key overflows int64 for {L} keys below {bound}")
-    packed = keys * L
-    packed += np.arange(L)
-    packed.sort()
-    # the packed keys are non-negative, so // and a product give divmod
-    skey = packed // L
-    packed -= skey * L
-    return skey, packed
-
-
 def _cochannel_interference(
     positions: np.ndarray,
     tx: np.ndarray,
@@ -126,7 +107,7 @@ def _cochannel_interference(
     non-negative. Distances are sqrt(dx*dx + dy*dy), as in pairing.
     """
     top = int(sizes.max())
-    shortfall, by_size = _stable_order(top - sizes, top + 1)
+    shortfall, by_size = packed_sort(top - sizes, np.arange(len(sizes)), len(sizes), top + 1)
     lay_sizes = top - shortfall
     lay_ends = np.cumsum(lay_sizes)
     lay_starts = lay_ends - lay_sizes
@@ -203,10 +184,10 @@ def _clustered_bits(
         )
 
     # round index = rank of the link inside its cluster; rx already ascends
-    cell_sorted, order = _stable_order(grid.cell_id[pairing.rx], grid.n_cells)
-    boundaries = np.concatenate(([0], np.nonzero(np.diff(cell_sorted))[0] + 1))
-    counts = np.diff(np.concatenate((boundaries, [L])))
-    rounds = np.arange(L, dtype=np.int64) - boundaries[segment_ids(boundaries, L)]
+    rows = np.arange(L)
+    cell_sorted, order = packed_sort(grid.cell_id[pairing.rx], rows, L, grid.n_cells)
+    boundaries, counts = run_starts(cell_sorted)
+    rounds = rows - boundaries[segment_ids(boundaries, L)]
     r_max = int(counts.max())
     airtime = 0.5 / r_max
 
@@ -215,9 +196,8 @@ def _clustered_bits(
     res_key = rounds * n_colors + link_color
 
     # group links by (round, color) resource and accumulate cross interference
-    g_key, g_order = _stable_order(res_key, r_max * n_colors)
-    g_bound = np.concatenate(([0], np.nonzero(np.diff(g_key))[0] + 1))
-    g_sizes = np.diff(np.concatenate((g_bound, [L])))
+    g_key, g_order = packed_sort(res_key, rows, L, r_max * n_colors)
+    g_sizes = run_starts(g_key)[1]
 
     link_idx = order[g_order]  # grouped order -> original pairing rows
     tx_g = pairing.tx[link_idx]
@@ -269,12 +249,9 @@ def run_scenario2(
     clustered delivery on the finer k2 x k2 grid (side about sqrt(eps)/k1),
     cache subspace 2. A user is in outage only if unserved in both slots.
     """
-    caches1, caches2 = realization.caches
-    grid1 = build_grid(k1, realization.positions)
-    grid2 = build_grid(k2, realization.positions)
-    pairing1 = pair_within_clusters(realization, grid1, caches1)
-    pairing2 = pair_within_clusters(realization, grid2, caches2)
-
-    slot1 = _clustered_bits(realization, pairing1, grid1, phy, "cluster1")
-    slot2 = _clustered_bits(realization, pairing2, grid2, phy, "cluster2")
-    return SchemeResult(realization.n_users, [slot1, slot2])
+    slots = []
+    for i, (k, caches) in enumerate(zip((k1, k2), realization.caches, strict=True), 1):
+        grid = build_grid(k, realization.positions)
+        pairing = pair_within_clusters(realization, grid, caches)
+        slots.append(_clustered_bits(realization, pairing, grid, phy, f"cluster{i}"))
+    return SchemeResult(realization.n_users, slots)

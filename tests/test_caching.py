@@ -179,7 +179,7 @@ def test_waterfill_residual_step(M, gamma, S, g_c):
     assert abs(float(pc.sum()) - S) <= 1e-15 * S
     ref = bisection_waterfill(m.pmf_table, S, g_c)
     objective = [float(np.add.reduce(m.pmf_table * np.exp(-g_c * x))) for x in (pc, ref)]
-    assert objective[0] == pytest.approx(objective[1], rel=1e-15)
+    assert objective[0] == pytest.approx(objective[1], rel=1e-15, abs=0)
     if gamma < 1000.0:
         assert float(np.max(np.abs(pc - ref))) <= 1e-12
     else:  # files without mass cost nothing: the oracle spreads S - 1 over them
@@ -249,7 +249,7 @@ def test_closed_form_uniform_policy_value():
     m = PopularityModel(M=40, gamma=0.6, q=3.0)
     S, rho = 4, 2.5
     pol = CachingPolicy(np.full(40, S / 40), S)
-    assert closed_form_outage(pol, m, rho * 40 / S) == pytest.approx(np.exp(-rho), rel=1e-12)
+    assert closed_form_outage(pol, m, rho * 40 / S) == pytest.approx(np.exp(-rho), rel=1e-12, abs=0)
 
 
 def test_closed_form_empty_policy_is_one():
@@ -279,9 +279,9 @@ def test_finite_n_outage_values():
     m = PopularityModel(M=40, gamma=0.6, q=3.0)
     pol = CachingPolicy(np.full(40, 4 / 40), 4)
     expect = 0.9 * (1.0 - 0.1 / 25) ** 4999
-    assert finite_n_outage(pol, m, 5000, 25) == pytest.approx(expect, rel=1e-12)
+    assert finite_n_outage(pol, m, 5000, 25) == pytest.approx(expect, rel=1e-12, abs=0)
     # a lone user is served only by itself
-    assert finite_n_outage(pol, m, 1, 25) == pytest.approx(0.9, rel=1e-15)
+    assert finite_n_outage(pol, m, 1, 25) == pytest.approx(0.9, rel=1e-15, abs=0)
     # a file every user caches, on a single cell, never misses
     full = CachingPolicy(np.ones(5), 5)
     m5 = PopularityModel(M=5, gamma=1.0, q=0.0)

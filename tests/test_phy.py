@@ -57,7 +57,7 @@ def test_link_rate_no_interferers_unit_snr():
     pos = np.array([[0.0, 0.0], [0.0, 1.0]])  # distance 1 -> gain chi = 1e-6
     bu = 1e-6  # B_u*N0 = 1e-6 = signal
     rate = link_rate((0, 1), [(0, 1)], pos, c, bu)
-    assert rate == pytest.approx(bu, rel=1e-12)  # log2(2) = 1
+    assert rate == pytest.approx(bu, rel=1e-12, abs=0)  # log2(2) = 1
 
 
 def test_link_rate_mirror_symmetry():
@@ -66,7 +66,7 @@ def test_link_rate_mirror_symmetry():
     pairs = [(0, 1), (2, 3)]
     bu = c.subchannel_bandwidth
     rates = [link_rate(pair, pairs, pos, c, bu) for pair in pairs]
-    assert rates[0] == pytest.approx(rates[1], rel=1e-12)
+    assert rates[0] == pytest.approx(rates[1], rel=1e-12, abs=0)
 
 
 def test_link_rate_monotone_in_interferer_power():
@@ -133,7 +133,7 @@ def test_bounds_read_pmax():
     for factor in (0.25, 3.0, 1e3):
         scaled = cfg(chi=1e-11, N0=1e-6 * factor, Pmax=factor)
         for d in (0.05, 0.2):
-            assert sinr_floor(d, scaled) == pytest.approx(sinr_floor(d, base), rel=1e-12)
+            assert sinr_floor(d, scaled) == pytest.approx(sinr_floor(d, base), rel=1e-12, abs=0)
             assert interference_upper_bound(d, scaled) == pytest.approx(
                 factor * interference_upper_bound(d, base), rel=1e-12
             )
@@ -155,7 +155,7 @@ def test_bounded_model_ceiling():
     pos = np.array([[0.0, 0.0], [0.0, 1.0]])
     full = link_rate((0, 1), [(0, 1)], pos, c_off, 1e-6)
     clamped = link_rate((0, 1), [(0, 1)], pos, c_on, 1e-6)
-    assert clamped == pytest.approx(1e-6 * math.log2(1.5), rel=1e-12)
+    assert clamped == pytest.approx(1e-6 * math.log2(1.5), rel=1e-12, abs=0)
     assert clamped < full
     with pytest.raises(ValueError):
         cfg(sinr_ceiling=-1.0)

@@ -16,7 +16,9 @@ from d2dcache.geometry import (
     PairingOutcome,
     build_grid,
     build_realization,
+    packed_sort,
     pair_within_clusters,
+    run_starts,
 )
 from d2dcache.phy import PhyConfig, path_gain
 from d2dcache.popularity import PopularityModel
@@ -25,7 +27,6 @@ from d2dcache.runner import build_point_inputs, run_trials
 from d2dcache.schemes import (
     SchemeResult,
     _clustered_bits,
-    _stable_order,
     run_scenario1,
     run_scenario2,
 )
@@ -58,7 +59,7 @@ def test_tune_epsilon_values():
     # rho_or_alpha1 = 1, so epsilon is the shrink product itself
     lt1, gt1 = REGIMES["gamma_lt1"], REGIMES["gamma_gt1"]
     prod = lt1.epsilon(_config(M=400, q=10.0, S=4, C_sec=1.0))
-    assert prod == pytest.approx((4 / 400) ** (1 / 1.4), rel=1e-12)
+    assert prod == pytest.approx((4 / 400) ** (1 / 1.4), rel=1e-12, abs=0)
     assert prod == pytest.approx(0.03728, rel=1e-3)
     cfg = _config(regime="gamma_gt1", gamma=1.5, M=4000, q=400.0, S=4, C_sec=1.0)
     assert gt1.epsilon(cfg) == pytest.approx(0.1)
@@ -388,15 +389,37 @@ GUARD_CELLS = INT64_MAX // (2 * 5)  # the most cells the pairing guard admits fo
 ], ids=["empty", "one", "ties", "pairing-guard", "packing-limit"])
 def test_packed_order_equals_stable_argsort(keys, bound):
     keys = np.array(keys, dtype=np.int64)
-    skey, order = _stable_order(keys, bound)
+    skey, order = packed_sort(keys.copy(), np.arange(len(keys)), len(keys), bound)
     expect = np.argsort(keys, kind="stable")
     assert order.dtype == np.int64 and np.array_equal(order, expect)
     assert np.array_equal(skey, keys[expect])
 
 
 def test_packed_order_overflow_is_an_error():
-    with pytest.raises(ValueError, match="overflows int64 for 5 keys below"):
-        _stable_order(np.zeros(5, dtype=np.int64), INT64_MAX // 5 + 1)
+    with pytest.raises(ValueError, match="overflows int64 for keys below .* and width 5"):
+        packed_sort(np.zeros(5, dtype=np.int64), np.arange(5), 5, INT64_MAX // 5 + 1)
+
+
+def test_packed_order_of_a_pairing_block():
+    # an (N, S) block of (file, cell) keys with each row's user as payload,
+    # sorted by (key, user) as pairing builds its holder index
+    rng = np.random.Generator(np.random.PCG64(0))
+    n, s = 300, 4
+    keys = rng.integers(0, 40, size=(n, s))
+    users = np.broadcast_to(np.arange(n)[:, None], (n, s))
+    expect = np.lexsort((users.ravel(), keys.ravel()))
+    skey, owner = packed_sort(keys.copy(), np.arange(n)[:, None], n, 40)
+    assert np.array_equal(skey, keys.ravel()[expect])
+    assert np.array_equal(owner, users.ravel()[expect])
+
+
+@pytest.mark.parametrize("keys", [[], [4], [2, 2, 2, 2], [0, 3, 5, 9]],
+                         ids=["empty", "one", "all-equal", "all-distinct"])
+def test_run_starts_match_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    starts, lengths = run_starts(keys)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    assert np.array_equal(starts, first) and np.array_equal(lengths, counts)
 
 
 @settings(max_examples=40, deadline=None)
