@@ -118,12 +118,9 @@ def po_sec_gamma_lt1(gc_prime: float, model: PopularityModel, S: int) -> float:
     c1, c2 = fp.C1, fp.C2
     t1 = (c1 * S * gc_prime / (gamma * M)) ** (1.0 - gamma)
     t2 = c2 * S * gc_prime / (gamma * M)  # algebraically q/M
-    denom = (1.0 + t2) ** (1.0 - gamma) - t2 ** (1.0 - gamma) if t2 > 0 else 1.0
+    denom = (1.0 + t2) ** (1.0 - gamma) - t2 ** (1.0 - gamma)
     head = _pow_ratio_log(c1, c2, gamma)
-    if c2 > 0:
-        tail_fac = (1.0 + c2 / c1) ** (1.0 - gamma) - (c2 / c1) ** (1.0 - gamma)
-    else:
-        tail_fac = 1.0
+    tail_fac = (1.0 + c2 / c1) ** (1.0 - gamma) - (c2 / c1) ** (1.0 - gamma)
     a = (1.0 - gamma) * math.exp(-gamma * (1.0 / c1 - 1.0)) * t1 * head / denom
     b = t1 * tail_fac / denom
     return _clamp_probability(1.0 + a - b)

@@ -68,20 +68,12 @@ class CachingPolicy:
 
     @cached_property
     def _placement(self) -> GuideTable:
-        """Exact-S placement, built at the first draw: lay the probabilities
-        end to end on a segment of length S and pick the S files whose
-        intervals contain u, u+1, ..., u+S-1 for one uniform u in [0, 1).
-
-        Each interval has length <= 1 and the points are spaced exactly 1
-        apart, so the S selected files are distinct and the marginal
-        inclusion probability of file f is exactly Pc(f). The search of the
-        interval edges returns 1-based file indices. Every edge from the last
-        file with Pc > 0 onward is S, so every point stays below the last edge
-        and never lands on a file with Pc = 0.
-        """
-        edges = np.concatenate(([0.0], np.cumsum(self.probs)))
-        edges[np.flatnonzero(self.probs)[-1] + 1:] = float(self.cache_size)
-        return GuideTable(edges, self.cache_size)
+        """Exact-S placement, built at the first draw: the S files whose
+        intervals hold u, u+1, ..., u+S-1 for one uniform u in [0, 1). Each
+        interval has length <= 1 and the points are spaced exactly 1 apart,
+        so the S files are distinct and file f is held with probability
+        exactly Pc(f)."""
+        return GuideTable(self.probs, self.cache_size)
 
     def pc_of(self, files: np.ndarray) -> np.ndarray:
         """Pc of each 1-based file index; 0 past the stored prefix."""

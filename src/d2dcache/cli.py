@@ -25,7 +25,7 @@ from .runner import build_point_inputs, point_params, run, write_artifact, write
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--seed", type=int, default=None, help="override base_seed")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: cores)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default: usable CPUs)")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 

@@ -35,10 +35,12 @@ class PopularityModel:
     def __post_init__(self):
         if not isinstance(self.M, (int, np.integer)) or self.M < 1:
             raise ValueError(f"library size M must be a positive integer, got {self.M!r}")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        if not self.q >= 0:
-            raise ValueError(f"q must be non-negative, got {self.q}")
+        for name in ("gamma", "q"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def _weights(self, lo: int, hi: int) -> np.ndarray:
         """(f+q)^-gamma for f = lo..hi as exp(-gamma*log(f+q)). This form
@@ -112,16 +114,9 @@ class PopularityModel:
         return t
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
-        c = np.cumsum(self.pmf_table)
-        c[-1] = 1.0
-        c.setflags(write=False)
-        return c
-
-    @cached_property
-    def _cdf_guide(self) -> GuideTable:
-        """The request CDF's guide table, built at the first draw."""
-        return GuideTable(self._cdf, 1)
+    def _request_guide(self) -> GuideTable:
+        """The requests' interval table, built at the first draw."""
+        return GuideTable(self.pmf_table, 1)
 
 
 def _shift_runs(n: int, hi: int, q: float) -> list[tuple[int, int, float]]:
@@ -166,15 +161,18 @@ def _power_integral(a: float, c: float, gamma: float) -> float:
 
 
 class GuideTable:
-    """Exact search of a non-decreasing, non-negative table for points in
-    [0, S) by a guide table (Chen & Asau 1974; Devroye, Non-Uniform Random
-    Variate Generation, 1986, ch. III), with no sort of the queries.
+    """Exact inverse-CDF search of masses laid end to end on [0, S), by a
+    guide table (Chen & Asau 1974; Devroye, Non-Uniform Random Variate
+    Generation, 1986, ch. III), with no sort of the queries.
 
+    table is [0, cumsum(masses)] with every edge from the last positive mass
+    onward pinned to S, so no point lands on a zero mass after that one.
     search(u) is np.searchsorted(table, u[:, None] + np.arange(S),
-    side="right") as an (n, S) int64 array, with every point u + j kept below
-    j + 1. Where u + j rounds up to j + 1 (u = 1 - 2^-53 does for every
-    j >= 1), the point is the largest double below j + 1; no double lies
-    between it and the exact sum, so it finds the same interval.
+    side="right") as an (n, S) int64 array: the 1-based index of the mass
+    whose interval holds each point. Every point u + j is kept below j + 1.
+    Where u + j rounds up to j + 1 (u = 1 - 2^-53 does for every j >= 1),
+    the point is the largest double below j + 1; no double lies between it
+    and the exact sum, so it finds the same interval.
 
     The value x falls in bucket floor(x * scale), scale = B / S with B =
     _GUIDE_BUCKETS * len(table), the product rounded to a double as for the
@@ -184,17 +182,20 @@ class GuideTable:
     b, is a lower bound on the answer of every point in bucket b. One forward
     step from it settles each point with at most one entry between the bound
     and itself; np.searchsorted finishes the rows still behind, which lie in
-    the crowded buckets of a steep table's tail.
+    the crowded buckets of a steep table's tail. The last edge is S and every
+    point lies below it, so neither step reads past the table's end.
     """
 
-    def __init__(self, table: np.ndarray, S: int):
+    def __init__(self, masses: np.ndarray, S: int):
+        table = np.zeros(len(masses) + 1)
+        np.cumsum(masses, out=table[1:])
+        table[np.flatnonzero(masses)[-1] + 1:] = S
         n_buckets = _GUIDE_BUCKETS * len(table)
         self.table, self.S = table, S
         self._scale = n_buckets / S
         counts = np.bincount((table * self._scale).astype(np.int64), minlength=n_buckets)
         self._first = np.zeros(n_buckets + 1, dtype=np.int64)
         np.cumsum(counts[:n_buckets], out=self._first[1:])
-        self._padded = np.append(table, np.inf)  # a forward step may read one past the end
 
     def search(self, u: np.ndarray) -> np.ndarray:
         out = np.empty((len(u), self.S), dtype=np.int64)
@@ -202,18 +203,15 @@ class GuideTable:
             point = u + j
             np.minimum(point, np.nextafter(j + 1.0, 0.0), out=point)
             at = self._first[(point * self._scale).astype(np.int64)]
-            at += self._padded[at] <= point
-            behind = np.flatnonzero(self._padded[at] <= point)
+            at += self.table[at] <= point
+            behind = np.flatnonzero(self.table[at] <= point)
             at[behind] = np.searchsorted(self.table, point[behind], side="right")
             out[:, j] = at
         return out
 
 
 def sample_request(model: PopularityModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw size file indices from the popularity law by inverse CDF, as an
-    int64 array. Deterministic given the generator state: each draw consumes
-    exactly one uniform. The CDF ends at 1.0, above every uniform, so no
-    index exceeds M."""
-    idx = model._cdf_guide.search(rng.random(size)).reshape(size)
-    idx += 1
-    return idx
+    """Draw size 1-based file indices from the popularity law by inverse CDF,
+    as an int64 array. Deterministic given the generator state: each draw
+    consumes exactly one uniform."""
+    return model._request_guide.search(rng.random(size)).reshape(size)

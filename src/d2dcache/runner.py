@@ -112,10 +112,19 @@ def run_trial(cfg: ExperimentConfig, inputs: PointInputs, trial: int):
     return result, c_gamma, slack
 
 
+def worker_count(cfg: ExperimentConfig) -> int:
+    """cfg.threads, else the number of CPUs this process may run on."""
+    if cfg.threads:
+        return cfg.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_trials(cfg: ExperimentConfig, inputs: PointInputs):
-    """run_trial for trials 0 .. n_realizations - 1 on cfg.threads workers
-    (default: all cores), yielded in trial order."""
-    with ThreadPoolExecutor(max_workers=cfg.threads or os.cpu_count() or 1) as pool:
+    """run_trial for trials 0 .. n_realizations - 1 on worker_count(cfg)
+    workers, yielded in trial order."""
+    with ThreadPoolExecutor(max_workers=worker_count(cfg)) as pool:
         yield from pool.map(lambda t: run_trial(cfg, inputs, t), range(cfg.n_realizations))
 
 
@@ -245,7 +254,7 @@ def write_artifact(
     info = {
         "wall_clock_seconds": wall_clock_s,
         "written_at_unix": time.time(),
-        "threads": cfg.threads or os.cpu_count() or 1,
+        "threads": worker_count(cfg),
     }
     write_tables(out_dir, "run_info", "json", [], [], info)
     return written

@@ -70,15 +70,16 @@ def _points(u: np.ndarray, S: int) -> np.ndarray:
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), table=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1 / 3, 0.75, 1.0, 1.5, 3.0]),
-                                      min_size=1, max_size=12),
+@given(data=st.data(), masses=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1 / 3, 0.75, 1.0, 1.5, 3.0]),
+                                       min_size=1, max_size=12).filter(any),
        S=st.integers(1, 4))
-def test_guide_search_equals_plain_searchsorted(data, table, S):
-    # ties in the table are flat runs of equal edges
-    table = np.sort(np.array(table))
+def test_guide_search_equals_plain_searchsorted(data, masses, S):
+    # zero masses are flat runs of equal edges
+    table = np.concatenate(([0.0], np.cumsum(masses)))
+    table[np.flatnonzero(masses)[-1] + 1:] = float(S)  # from the last positive mass on
     for u in _sizes(data.draw(_queries(table, S))):
         expect = np.searchsorted(table, _points(u, S), side="right")
-        got = GuideTable(table, S).search(u)
+        got = GuideTable(np.array(masses), S).search(u)
         assert got.dtype == np.int64 and got.shape == (len(u), S)
         assert np.array_equal(got, expect)
 
@@ -125,10 +126,12 @@ def test_interval_partition_never_draws_an_uncached_file():
 def test_sample_request_equals_plain_searchsorted(data, M, gamma, q):
     # a steep law rounds the tail of the CDF to a flat run of 1.0
     model = PopularityModel(M=M, gamma=gamma, q=q)
-    cdf = model._cdf
-    for u in _sizes(data.draw(_queries(cdf, 1))):
-        # no clamp to file M: the CDF ends at 1.0, above every uniform
-        expect = np.searchsorted(cdf, u, side="right") + 1
+    table = model._request_guide.table
+    # the CDF with a leading 0 and its last entry pinned to 1.0
+    assert np.array_equal(table, np.concatenate(([0.0], np.cumsum(model.pmf_table)[:-1], [1.0])))
+    for u in _sizes(data.draw(_queries(table, 1))):
+        # no clamp to file M: the table ends at 1.0, above every uniform
+        expect = np.searchsorted(table, u, side="right")
         got = sample_request(model, SimpleNamespace(random=lambda size: u), len(u))
         assert got.dtype == np.int64 and got.shape == (len(u),)
         assert np.array_equal(got, expect)
@@ -142,17 +145,17 @@ def test_guide_search_in_the_most_crowded_bucket(model):
     # points among the entries of the reachable bucket that holds the most:
     # the guide's bound lies two or more entries behind some of them, so one
     # forward step leaves those rows to np.searchsorted
-    cdf, guide = model._cdf, model._cdf_guide
+    guide = model._request_guide
     b = int(np.argmax(np.diff(guide._first)))
-    inside = cdf[guide._first[b]:guide._first[b + 1]]
+    inside = guide.table[guide._first[b]:guide._first[b + 1]]
     u = np.concatenate([inside, np.nextafter(inside, 0.0), np.nextafter(inside, 2.0),
                         [b / guide._scale, (b + 1) / guide._scale, BELOW_ONE]])
     u = u[(u >= 0.0) & (u < 1.0)]
-    expect = np.searchsorted(cdf, u, side="right")
+    expect = np.searchsorted(guide.table, u, side="right")
     bound = guide._first[(u * guide._scale).astype(np.int64)]
     assert np.all(bound <= expect) and np.any(expect - bound >= 2)
     got = sample_request(model, SimpleNamespace(random=lambda size: u), len(u))
-    assert np.array_equal(got, expect + 1)
+    assert np.array_equal(got, expect)
 
 
 def test_guide_search_where_the_bucket_product_rounds_up():
@@ -170,15 +173,24 @@ def test_guide_search_where_the_bucket_product_rounds_up():
                 (under_edge if np.nextafter(x, np.inf) == b / scale else up).append(x)
             x = np.nextafter(x, 0.0)
     up = np.sort(np.array(under_edge + up[::5]))  # spread over all three columns
-    assert under_edge and 2 * len(up) <= n and set(np.floor(up)) == {0.0, 1.0, 2.0}
-    table = np.sort(np.concatenate([np.zeros(n - 2 * len(up)), up, np.nextafter(up, np.inf)]))
-    guide = GuideTable(table, S)
+    assert under_edge and 2 * len(up) < n - 1 and set(np.floor(up)) == {0.0, 1.0, 2.0}
+    table = np.sort(np.concatenate([np.zeros(n - 1 - 2 * len(up)), up, np.nextafter(up, np.inf), [S]]))
+    guide = GuideTable(np.diff(table), S)
+    assert np.array_equal(guide.table, table)  # the cumulative sum of the steps is exact
     assert guide._scale == scale
     u = up - np.floor(up)  # exact: u + floor(x) is x again
     got = guide.search(u)
     assert np.array_equal(got, np.searchsorted(table, _points(u, S), side="right"))
     assert np.array_equal(got[np.arange(len(u)), np.floor(up).astype(np.int64)],
                           np.searchsorted(table, up, side="right"))
+
+
+def test_guide_search_ends_at_the_last_positive_mass():
+    # every edge from the last positive mass on is S: the first two masses
+    # sum to 1 - 2^-53, and the point there belongs to mass 2, not to the
+    # zero mass 4 that a table pinning only its last edge would give it
+    got = GuideTable(np.array([0.5, 0.5 - 2**-53, 0.0, 0.0]), 1).search(np.array([BELOW_ONE]))
+    assert got.tolist() == [[2]]
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])

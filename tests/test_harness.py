@@ -32,6 +32,7 @@ from d2dcache.runner import (
     run_point,
     run_trial,
     run_trials,
+    worker_count,
     write_artifact,
 )
 
@@ -416,6 +417,20 @@ def test_rerun_and_thread_count_byte_identical(tmp_path):
     assert outs[0][0] == outs[1][0] == outs[2][0]
     # JSON echoes the thread count nowhere; artifacts must match bytewise
     assert outs[0][1] == outs[1][1] == outs[2][1]
+
+
+def test_default_threads_follow_cpu_affinity(tmp_path, monkeypatch):
+    # with no thread count, the runner uses the CPUs this process may run on,
+    # not every core of the machine
+    path = _write_cfg(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+    assert json.loads((tmp_path / "sim" / "run_info.json").read_text())["threads"] == 1
+    # where the platform has no affinity mask, the CPU count, else one
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, expect in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert worker_count(load_config(path)) == expect
 
 
 def test_cli_simulate_and_analyze(tmp_path, capsys):

@@ -34,6 +34,9 @@ def test_model_validation():
     for key, gamma, q in (("gamma", np.nan, 0.0), ("q", 0.5, np.nan)):
         with pytest.raises(ValueError, match=f"^{key} must be non-negative, got nan"):
             PopularityModel(M=5, gamma=gamma, q=q)
+    for key, gamma, q in (("gamma", math.inf, 0.0), ("q", 0.5, math.inf)):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got inf$"):
+            PopularityModel(M=10, gamma=gamma, q=q)
 
 
 @settings(max_examples=60, deadline=None)
