@@ -102,16 +102,15 @@ def grid_from_target_side(d_target: float) -> int:
     return max(1, int(math.floor(1.0 / d_target + 0.5)))
 
 
-def reuse_color(grid: ClusterGrid, phy: PhyConfig) -> np.ndarray:
-    """Color of every cell, one of p^2 values for p = phy.reuse_period.
+def reuse_color(cells: np.ndarray, k: int, phy: PhyConfig) -> np.ndarray:
+    """Color of each of the given cells of a k x k grid, one of p^2 values
+    for p = phy.reuse_period; no array spans the grid.
 
     color(cx, cy) = (cx mod p) * p + (cy mod p): co-channel cells sit at
     offsets that are multiples of p on both axes.
     """
     p = phy.reuse_period
-    cells = np.arange(grid.n_cells)
-    cx, cy = cells // grid.k, cells % grid.k
-    return (cx % p) * p + (cy % p)
+    return (cells // k % p) * p + cells % k % p
 
 
 def segment_ids(starts: np.ndarray, total: int) -> np.ndarray:
@@ -134,9 +133,12 @@ def packed_sort(keys: np.ndarray, payload: np.ndarray, width: int, bound: int) -
     keys += payload
     packed = keys.reshape(-1)
     packed.sort()
-    # keys >= 0: // and a product give divmod, about ten times faster in int64
+    # keys >= 0: // and a product give divmod, about ten times faster in int64;
+    # the product is formed in skey itself, which one more // restores
     skey = packed // width
-    packed -= skey * width
+    skey *= width
+    packed -= skey
+    skey //= width
     return skey, packed
 
 
@@ -161,10 +163,12 @@ def pair_within_clusters(
     One sort of the composite key ((file, cell), holder) builds the inverted
     (file, cell) -> holders index with the holders ascending inside each key
     run. The requests up to the largest cached file, the only ones a holder
-    can serve, sorted by ((file, cell), user), are resolved against
-    the runs by one searchsorted, and each request takes the first candidate
-    at its exact minimum distance, so ties break toward the lowest candidate
-    user index. The links come back in ascending rx order.
+    can serve, sorted by ((file, cell), user), find the first and the last
+    holder of their key by searchsorted, and each request takes the first
+    candidate at its exact minimum distance, so ties break toward the lowest
+    candidate user index. The links come back in ascending rx order. Every
+    temporary is freed at its last use, so the peak is about four float64
+    arrays over the candidates.
     """
     positions, requests = realization.positions, realization.requests
     cell_id, n_cells = grid.cell_id, grid.n_cells
@@ -176,45 +180,62 @@ def pair_within_clusters(
             f"pairing key (file, cell, user) overflows int64 for N={n} users "
             f"and {n_cells} cells"
         )
-    held = caches.astype(np.int64) * n_cells
+    held = np.multiply(caches, n_cells, dtype=np.int64)
     held += cell_id[:, None]
-    skey, sowner = packed_sort(held, np.arange(n)[:, None], n, n_keys * n_cells)
-    run_start, run_len = run_starts(skey)
-    run_key = skey[run_start]
+    # user ids are only added and gathered from, never an index: int32 halves them
+    user_id = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    skey, sowner = packed_sort(held, np.arange(n, dtype=user_id)[:, None], n, n_keys * n_cells)
+    del held
+    sowner = sowner.astype(user_id, copy=False)
 
     # a request past the largest cached file has no holder: no query for it
     asked = np.flatnonzero(requests <= top)
-    qkey = requests[asked].astype(np.int64) * n_cells + cell_id[asked]
+    qkey = requests[asked].astype(np.int64, copy=False)
+    qkey *= n_cells
+    qkey += cell_id[asked]
     qkey, rx = packed_sort(qkey, asked, n, n_keys * n_cells)
-    run = np.minimum(np.searchsorted(run_key, qkey), len(run_key) - 1)
-    hit = np.flatnonzero(run_key[run] == qkey)
+    del asked
+    # the holders of each request's key are sorted rows first .. first + c - 1
+    first = np.searchsorted(skey, qkey)
+    c = np.searchsorted(skey, qkey, side="right")
+    del skey, qkey
+    c -= first
+    hit = np.flatnonzero(c)
     if len(hit) == 0:
         empty = np.empty(0, dtype=np.int64)
         return PairingOutcome(empty, empty, np.empty(0))
 
-    rx, run = rx[hit], run[hit]
-    c = run_len[run]
-    starts = np.cumsum(c) - c
+    rx, first, c = rx[hit], first[hit], c[hit]
+    del hit
+    starts = np.cumsum(c)
+    starts -= c
     total = int(starts[-1] + c[-1])
-    # candidate row i belongs to request seg[i] and is user holder[i]
+    del c
+    # candidate row i belongs to request seg[i] and is sorted row
+    # first[seg[i]] + i - starts[seg[i]] of the holder index
+    first -= starts
     seg = segment_ids(starts, total)
-    row = np.arange(total)
-    hold = (run_start[run] - starts)[seg]
-    hold += row
-    holder = sowner[hold]
+    holder = first[seg]
+    holder += np.arange(total)
+    holder[:] = sowner[holder]  # sorted row -> user, in place
     d2 = positions[holder, 0]
+    dy = positions[holder, 1]
+    del holder
     d2 -= positions[rx, 0][seg]
     np.square(d2, out=d2)
-    dy = positions[holder, 1]
     dy -= positions[rx, 1][seg]
     np.square(dy, out=dy)
     d2 += dy
+    del dy
     # segmented argmin: each request's candidates are contiguous and ascend
     # in user index, so the first one at the exact minimum is the tie winner
     best = np.minimum.reduceat(d2, starts)
-    at_best = np.where(d2 == best[seg], row, total)
+    at_best = np.flatnonzero(d2 == best[seg])
+    del d2, starts
+    first += at_best[run_starts(seg[at_best])[0]]  # sorted row of each winner
+    del at_best, seg
     tx = np.full(n, -1, dtype=np.int64)
-    tx[rx] = holder[np.minimum.reduceat(at_best, starts)]
+    tx[rx] = sowner[first]
     dist = np.empty(n)
     dist[rx] = np.sqrt(best)
     served = np.flatnonzero(tx >= 0)

@@ -114,13 +114,14 @@ class PhyConfig:
         return self.B / self.reuse_period**2
 
 
-def path_gain(d, cfg: PhyConfig):
-    """min(gain_cap, chi / d^alpha); d = 0 hits the cap. Accepts arrays."""
+def path_gain(d, cfg: PhyConfig, out: np.ndarray | None = None):
+    """min(gain_cap, chi / d^alpha); d = 0 hits the cap. Accepts arrays; an
+    array's gain goes to out when given, which may be d itself."""
     d = np.asarray(d, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        raw = cfg.chi / d**cfg.alpha
-    out = np.minimum(cfg.gain_cap, raw)
-    return float(out) if out.ndim == 0 else out
+        gain = np.divide(cfg.chi, np.power(d, cfg.alpha, out=out), out=out)
+    gain = np.minimum(cfg.gain_cap, gain, out=out)
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def interference_series_constant(alpha: float) -> float:

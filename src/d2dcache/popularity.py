@@ -41,6 +41,12 @@ class PopularityModel:
                 raise ValueError(f"{name} must be non-negative, got {value}")
             if value == math.inf:
                 raise ValueError(f"{name} must be finite, got {value}")
+        # the weights decrease in f: if file 1's underflows, every one does
+        if self._weights(1, 1)[0] == 0.0:
+            raise ValueError(
+                f"every popularity weight (f+q)^-gamma underflows to 0 at gamma={self.gamma} "
+                f"and q={self.q}: decrease gamma or q"
+            )
 
     def _weights(self, lo: int, hi: int) -> np.ndarray:
         """(f+q)^-gamma for f = lo..hi as exp(-gamma*log(f+q)). This form

@@ -100,43 +100,53 @@ def _cochannel_interference(
 
     The groups are laid out by descending size, so the groups larger than j
     are a prefix of the layout, and pass j adds the j-th transmitter of each
-    of them to that group's other receivers. Memory stays linear in the rows,
-    and every receiver sums its interferers in ascending row order from 0.0.
-    A pass evaluates the whole prefix and zeroes each group's own row j
-    before adding, which is exact: the sums start at +0.0 and every term is
-    non-negative. Distances are sqrt(dx*dx + dy*dy), as in pairing.
+    of them to that group's other receivers. A pass gathers the positions of
+    its few transmitters and spreads them over their groups' rows, so memory
+    stays linear in the rows, and every receiver sums its interferers in
+    ascending row order from 0.0. A pass evaluates the whole prefix and zeroes
+    each group's own row j before adding, which is exact: the sums start at
+    +0.0 and every term is non-negative. Distances are sqrt(dx*dx + dy*dy), as
+    in pairing.
     """
     top = int(sizes.max())
-    shortfall, by_size = packed_sort(top - sizes, np.arange(len(sizes)), len(sizes), top + 1)
-    lay_sizes = top - shortfall
+    lay_sizes, by_size = packed_sort(top - sizes, np.arange(len(sizes)), len(sizes), top + 1)
+    np.subtract(top, lay_sizes, out=lay_sizes)
     lay_ends = np.cumsum(lay_sizes)
     lay_starts = lay_ends - lay_sizes
     n_rows = int(lay_ends[-1])
-    group = segment_ids(lay_starts, n_rows)
-    first = lay_starts[group]  # layout row of each row's group's first link
-    local = np.arange(n_rows) - first
-    rows = (np.cumsum(sizes) - sizes)[by_size][group] + local
-    tx_rows, rx_rows = tx[rows], rx[rows]
-    txx, txy = positions[tx_rows, 0], positions[tx_rows, 1]
-    rxx, rxy = positions[rx_rows, 0], positions[rx_rows, 1]
     # groups in pass j: those of more than max(j, 1) links
     n_groups = np.searchsorted(-lay_sizes, -np.maximum(np.arange(lay_sizes[0]), 1))
+    del lay_sizes
+    group = segment_ids(lay_starts, n_rows)
+    shift = (np.cumsum(sizes) - sizes)[by_size]
+    shift -= lay_starts
+    del by_size
+    rows = shift[group]
+    rows += np.arange(n_rows)  # the input row of every layout row
+    del shift
+    link = rx[rows]
+    rxx, rxy = positions[link, 0], positions[link, 1]
+    del link
     interference = np.zeros(n_rows)
     dx_buf, dy_buf = np.empty(n_rows), np.empty(n_rows)
     for j, m in enumerate(n_groups.tolist()):
         if m == 0:
             break
         r = lay_ends[m - 1]
-        src = first[:r] + j
-        dx = np.subtract(txx[src], rxx[:r], out=dx_buf[:r])
+        src = tx[rows[lay_starts[:m] + j]]  # the j-th transmitter of each group
+        # mode="clip" writes straight into the buffer; the rows are in range
+        dx = np.take(positions[src, 0], group[:r], out=dx_buf[:r], mode="clip")
+        dx -= rxx[:r]
         np.square(dx, out=dx)
-        dy = np.subtract(txy[src], rxy[:r], out=dy_buf[:r])
+        dy = np.take(positions[src, 1], group[:r], out=dy_buf[:r], mode="clip")
+        dy -= rxy[:r]
         np.square(dy, out=dy)
         dx += dy
-        gain = path_gain(np.sqrt(dx, out=dx), phy)
+        gain = path_gain(np.sqrt(dx, out=dx), phy, out=dx)
         gain *= phy.Pmax
         gain[lay_starts[:m] + j] = 0.0
         interference[:r] += gain
+    del rxx, rxy, dx_buf, dy_buf, group
     out = np.empty(n_rows)
     out[rows] = interference
     return out
@@ -183,26 +193,32 @@ def _clustered_bits(
             label, pairing.rx, pairing.distance, np.empty(0), no_res, 0.0, bw, grid.side, phy
         )
 
-    # round index = rank of the link inside its cluster; rx already ascends
     rows = np.arange(L)
     cell_sorted, order = packed_sort(grid.cell_id[pairing.rx], rows, L, grid.n_cells)
     boundaries, counts = run_starts(cell_sorted)
-    rounds = rows - boundaries[segment_ids(boundaries, L)]
+    cell_run = segment_ids(boundaries, L)
     r_max = int(counts.max())
     airtime = 0.5 / r_max
 
-    link_color = reuse_color(grid, phy)[cell_sorted]
+    # resource key (round, color) in the spent payload's place; the round is
+    # the rank of the link inside its cluster, as rx already ascends
     n_colors = phy.reuse_period**2
-    res_key = rounds * n_colors + link_color
+    res_key = rows
+    res_key -= boundaries[cell_run]
+    res_key *= n_colors
+    res_key += reuse_color(cell_sorted[boundaries], grid.k, phy)[cell_run]
+    del cell_sorted, cell_run
 
     # group links by (round, color) resource and accumulate cross interference
-    g_key, g_order = packed_sort(res_key, rows, L, r_max * n_colors)
+    g_key, link_idx = packed_sort(res_key, np.arange(L), L, r_max * n_colors)
     g_sizes = run_starts(g_key)[1]
+    link_idx[:] = order[link_idx]  # grouped order -> original pairing rows
+    del order
 
-    link_idx = order[g_order]  # grouped order -> original pairing rows
-    tx_g = pairing.tx[link_idx]
     rx_g = pairing.rx[link_idx]
-    interference = _cochannel_interference(realization.positions, tx_g, rx_g, g_sizes, phy)
+    interference = _cochannel_interference(
+        realization.positions, pairing.tx[link_idx], rx_g, g_sizes, phy
+    )
     return _rate_links(
         label, rx_g, pairing.distance[link_idx], interference, g_key, airtime, bw, grid.side, phy
     )

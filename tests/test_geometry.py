@@ -72,21 +72,20 @@ def test_realization_and_grid_validation():
 
 def test_reuse_color_count_and_uniqueness():
     assert PhyConfig(K=1).reuse_period == 4
-    pts = np.random.Generator(np.random.PCG64(0)).random((10, 2))
-    g4 = build_grid(4, pts)
-    colors = reuse_color(g4, PhyConfig(K=1))
+    colors = reuse_color(np.arange(16), 4, PhyConfig(K=1))
     # a 4x4 grid with reuse period 4 uses each of the 16 colors exactly once
     assert sorted(colors.tolist()) == list(range(16))
 
 
 def test_reuse_color_cochannel_separation():
-    g = build_grid(9, np.random.Generator(np.random.PCG64(0)).random((10, 2)))
-    cx, cy = np.divmod(np.arange(g.n_cells), g.k)
+    k = 9
+    cells = np.arange(k * k)
+    cx, cy = np.divmod(cells, k)
     dx, dy = np.abs(cx[:, None] - cx), np.abs(cy[:, None] - cy)
     for K in (1, 2):
-        colors = reuse_color(g, PhyConfig(K=K))
+        colors = reuse_color(cells, k, PhyConfig(K=K))
         p = 2 * (K + 1)
-        same = (colors[:, None] == colors) & ~np.eye(g.n_cells, dtype=bool)
+        same = (colors[:, None] == colors) & ~np.eye(k * k, dtype=bool)
         assert same.any()
         assert np.all(dx[same] % p == 0) and np.all(dy[same] % p == 0)
         assert np.all(np.maximum(dx, dy)[same] >= p)  # Chebyshev separation

@@ -382,6 +382,17 @@ def test_infeasible_point_recorded_not_fatal():
     assert p.error is not None and "cluster side" in p.error
 
 
+def test_underflowing_model_recorded_as_the_point_error():
+    cfg = config_from_dict({**BASE, "regime": "gamma_gt1", "M": 10**8, "gamma": 100.0, "q": 1e6,
+                            "rho_or_alpha1": 1e-3})
+    point = run_point(cfg)
+    assert point.estimate is None
+    assert point.error == (
+        "every popularity weight (f+q)^-gamma underflows to 0 at gamma=100.0 and q=1000000.0: "
+        "decrease gamma or q"
+    )
+
+
 def test_failing_trial_recorded_not_fatal(tmp_path):
     # at M = 8 the split-cache draw gives up inside the trial; M = 64 draws fine
     raw = yaml.safe_load((CONFIGS / "scaling_lt1.yaml").read_text())

@@ -39,6 +39,22 @@ def test_model_validation():
             PopularityModel(M=10, gamma=gamma, q=q)
 
 
+UNDERFLOW = (
+    "every popularity weight (f+q)^-gamma underflows to 0 at gamma=100.0 and q=1000000.0: "
+    "decrease gamma or q"
+)
+
+
+def test_model_whose_every_weight_underflows_is_rejected():
+    # (1 + 1e6)^-100 = 1e-600 is below the smallest double: the pmf would be 0/0
+    with pytest.raises(ValueError) as err:
+        PopularityModel(M=10, gamma=100.0, q=1e6)
+    assert str(err.value) == UNDERFLOW
+    # 1001^-100 = 1e-300 is a normal double: a finite pmf
+    t = PopularityModel(M=10, gamma=100.0, q=1e3).pmf_table
+    assert np.isfinite(t).all() and abs(math.fsum(t.tolist()) - 1.0) <= 1e-15
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     M=st.integers(1, 2000),
@@ -131,6 +147,8 @@ def test_norm_and_tail_edge_cases_are_exact():
     assert head.norm == math.fsum(head._weights(1, 1024).tolist())
     assert PopularityModel(M=3000, gamma=0.8, q=2.0).tail_mass(3000) == 0.0
     _check_norm_and_tail(PopularityModel(M=1025, gamma=0.7, q=0.0), 1024)  # one file past the head
+    # gamma = 1 exactly past the head: the integral's logarithm branch
+    _check_norm_and_tail(PopularityModel(M=5000, gamma=1.0, q=0.0), 2500)
     for M in (7, 1025, 5000, 200_000):
         for q in (0.0, 3.7, 9999.123456789):  # 3.7 and 9999.12... round by several shifts
             flat = PopularityModel(M=M, gamma=0.0, q=q)

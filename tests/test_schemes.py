@@ -485,3 +485,61 @@ def test_interference_memory_is_linear_in_links():
         tracemalloc.stop()
     assert len(np.unique(slot.link_res)) == 1 and len(slot.link_rx) == 2025
     assert peak <= 4 * 2**20
+
+
+def test_slot_memory_does_not_grow_with_the_grid():
+    # 4000 users on a 2000 x 2000 grid: each link's color comes from its own
+    # cell, so no array spans the 4e6 cells
+    rng = np.random.default_rng(3)
+    n = 4000
+    positions = rng.random((n, 2))
+    realization = NetworkRealization(positions, rng.integers(1, 3, n), (rng.integers(1, 3, (n, 2)),))
+    grid = build_grid(2000, positions)
+    tracemalloc.start()
+    try:
+        pairing = pair_within_clusters(realization, grid, realization.caches[0])
+        slot = _clustered_bits(realization, pairing, grid, PHY, "cluster")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(slot.link_rx) == pairing.n_links > n // 2
+    assert peak < 4 * 2**20
+
+
+@pytest.fixture(scope="module")
+def lt1_like_slot():
+    """Slot 1 of the largest gamma < 1 sweep point (M = 4096, N = 204 800),
+    drawn at a quarter of its users, N = 51 200, on a 4 x 4 grid: 3200 users
+    per cell, against 4180 at full size, and about 1.8 candidates per request."""
+    cfg = _config(scheme="scenario2", N=204_800, M=4096, S=4, q=10.0, rho_or_alpha1=4.0,
+                  C_sec=4.0)
+    inputs = build_point_inputs(cfg)
+    n = 51_200
+    realization = build_realization(inputs.model, inputs.policies, n, 1)
+    return realization, build_grid(4, realization.positions)
+
+
+def _bytes_per_user(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / len(args[0].positions)
+
+
+def test_pairing_memory_budget_per_user(lt1_like_slot):
+    realization, grid = lt1_like_slot
+    pairing, per_user = _bytes_per_user(pair_within_clusters, realization, grid,
+                                        realization.caches[0])
+    assert pairing.n_links > 0.8 * realization.n_users
+    assert per_user < 150.0
+
+
+def test_clustered_slot_memory_budget_per_user(lt1_like_slot):
+    realization, grid = lt1_like_slot
+    pairing = pair_within_clusters(realization, grid, realization.caches[0])
+    slot, per_user = _bytes_per_user(_clustered_bits, realization, pairing, grid, PHY, "cluster")
+    assert len(slot.link_rx) == pairing.n_links
+    assert per_user < 150.0

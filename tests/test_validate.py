@@ -29,8 +29,8 @@ def test_corrupted_reuse_coloring_is_caught(monkeypatch):
     with co-channel interference and must trip the SINR-floor suite."""
     import d2dcache.schemes as schemes
 
-    def broken_coloring(grid, phy):
-        return np.zeros(grid.n_cells, dtype=np.int64)
+    def broken_coloring(cells, k, phy):
+        return np.zeros(len(cells), dtype=np.int64)
 
     monkeypatch.setattr(schemes, "reuse_color", broken_coloring)
     floor_report = validate.suite_mini_network(n_real=5)[0]
